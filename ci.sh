@@ -78,6 +78,12 @@ echo "ok: redsim-workload depends only on workspace crates"
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
+echo "== e2ebench builds against the workspace (release, offline) =="
+# e2ebench is its own workspace, so the build above never compiles it;
+# a removed or renamed pub item it calls would otherwise break only the
+# benchmark run.
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== benches compile (offline) =="
 cargo bench --no-run --offline -p redsim-bench
 

@@ -43,11 +43,6 @@ impl Bitmap {
         self.zeros
     }
 
-    /// True if every row is valid.
-    pub fn all_set(&self) -> bool {
-        self.zeros == 0
-    }
-
     /// Append one bit.
     pub fn push(&mut self, valid: bool) {
         let word = self.len / 64;
@@ -81,15 +76,6 @@ impl Bitmap {
         } else {
             self.bits[i / 64] &= !(1u64 << (i % 64));
             self.zeros += 1;
-        }
-    }
-
-    /// Append all bits from `other`.
-    pub fn extend_from(&mut self, other: &Bitmap) {
-        // Bit-by-bit is fine: extension happens on the load path where the
-        // per-row parse dominates.
-        for i in 0..other.len {
-            self.push(other.get(i));
         }
     }
 

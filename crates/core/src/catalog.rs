@@ -147,6 +147,19 @@ impl Catalog {
         self.tables.get(&name.to_ascii_lowercase()).cloned()
     }
 
+    /// [`Catalog::get`], with an unknown name as a `NotFound` error.
+    pub(crate) fn require(&self, name: &str) -> Result<Arc<TableEntry>> {
+        self.get(name).ok_or_else(|| RsError::NotFound(format!("relation {name:?}")))
+    }
+
+    /// The VACUUM / ANALYZE targets: `table`, or every table when `None`.
+    pub(crate) fn targets(&self, table: Option<&str>) -> Result<Vec<Arc<TableEntry>>> {
+        match table {
+            Some(t) => Ok(vec![self.require(t)?]),
+            None => Ok(self.tables().cloned().collect()),
+        }
+    }
+
     pub fn names(&self) -> Vec<String> {
         self.tables.values().map(|t| t.name.clone()).collect()
     }

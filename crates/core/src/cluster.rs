@@ -8,23 +8,25 @@ use crate::loader;
 use crate::result_cache::{CachedResult, ResultCache};
 use crate::session::{Session, SessionCtx, SessionManager, SessionOpts};
 use crate::systables::{self, SystemTables};
-use crate::wlm::{QmrStats, WlmController};
-use redsim_obs::{AttrValue, TraceSink, LVL_CORE, LVL_DETAIL, LVL_PHASE};
-use redsim_testkit::sync::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
+use crate::wlm::{QmrStats, WlmController, WlmGuard};
+use redsim_obs::{AttrValue, Span, TraceSink, LVL_CORE, LVL_DETAIL, LVL_PHASE};
+use redsim_testkit::par;
+use redsim_testkit::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use redsim_testkit::rng::Pcg32;
 use redsim_common::codec::{Reader, Writer};
-use redsim_common::{ColumnData, DataType, Result, Row, RsError, Schema, Value};
+use redsim_common::{ColumnData, DataType, Result, RetryPolicy, Row, RsError, Schema, Value};
 use redsim_crypto::{ClusterKeyring, HsmSim, KeyId, WrappedKey};
 use redsim_distribution::{ClusterTopology, DistStyle, NodeId, RowRouter};
 use redsim_engine::baseline;
-use redsim_engine::exec::{ExecMetrics, Executor, TableProvider};
+use redsim_engine::compile::CompiledQuery;
+use redsim_engine::exec::{ExecMetrics, Executor, QueryOutput, StepProfile, TableProvider};
 use redsim_engine::PlanCache;
 use redsim_replication::{
     BackupManager, ReplicatedStore, S3Sim, SnapshotInfo, SnapshotKind, StreamingRestoreStore,
 };
 use redsim_sql::ast::{self, Statement};
 use redsim_sql::plan::{LogicalPlan, OutCol};
-use redsim_sql::{optimizer, Binder};
+use redsim_sql::{optimizer, Binder, CatalogView};
 use redsim_common::FxHashMap;
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::{ScanOutput, ScanPredicate, SliceTable, SortKeySpec, WriteCheckpoint};
@@ -50,6 +52,17 @@ enum SelectMode {
     Execute,
     ExplainOnly,
     ExplainAnalyze,
+}
+
+impl SelectMode {
+    /// The statement kind, as usage telemetry and errors name it.
+    fn name(self) -> &'static str {
+        match self {
+            SelectMode::Execute => "SELECT",
+            SelectMode::ExplainOnly => "EXPLAIN",
+            SelectMode::ExplainAnalyze => "EXPLAIN ANALYZE",
+        }
+    }
 }
 
 /// Does any join in the plan carry a non-equi residual predicate? That
@@ -120,17 +133,19 @@ pub struct Cluster {
     config: ClusterConfig,
     topology: ClusterTopology,
     s3: Arc<S3Sim>,
-    /// Present on normally-launched clusters.
-    replicated: Option<Arc<ReplicatedStore>>,
-    /// Present on snapshot-restored clusters.
-    restoring: Option<Arc<StreamingRestoreStore>>,
+    storage: Storage,
     /// Per-node block store handles (encryption-wrapped when enabled).
     node_stores: Vec<Arc<dyn BlockStore>>,
-    backup: BackupManager,
-    hsm: Option<Arc<HsmSim>>,
-    master_key: Option<KeyId>,
-    keyring: Option<Arc<ClusterKeyring>>,
+    keys: Option<ClusterKeys>,
     catalog: RwLock<Catalog>,
+    /// Monotonic transaction ids (1-based; 0 marks bootstrap versions).
+    txn_seq: AtomicU64,
+    /// Write-ahead redo log: committed writes are replayable from it
+    /// after a crash. See [`redsim_storage::wal`].
+    wal: Wal,
+    /// Rows loaded per table since its last ANALYZE (maintenance advisor).
+    loads_since_analyze: Mutex<FxHashMap<String, u64>>,
+    backup: BackupManager,
     plan_cache: PlanCache,
     state: RwLock<ClusterState>,
     /// The leader's *global* transaction serialization point. Only
@@ -147,11 +162,6 @@ pub struct Cluster {
     /// redistribute) or need a frozen catalog image (checkpoint) take it
     /// exclusively.
     data_lock: RwLock<()>,
-    /// Monotonic transaction ids (1-based; 0 marks bootstrap versions).
-    txn_seq: AtomicU64,
-    /// Write-ahead redo log: committed writes are replayable from it
-    /// after a crash. See [`redsim_storage::wal`].
-    wal: Wal,
     /// Armed by [`Cluster::crash`] (and by tests via
     /// [`Cluster::arm_hard_crash`]): in-flight [`WriteTxn`] rollbacks
     /// become no-ops, modeling a process that died mid-statement and
@@ -160,13 +170,11 @@ pub struct Cluster {
     rng: Mutex<Pcg32>,
     /// §5 future work: usage statistics by feature and plan shape.
     usage: UsageStats,
-    /// Rows loaded per table since its last ANALYZE (maintenance advisor).
-    loads_since_analyze: Mutex<redsim_common::FxHashMap<String, u64>>,
     /// Per-cluster telemetry sink; `stl_*` / `svl_*` system tables are
     /// materialized from it (verbosity via `RSIM_TRACE=0|1|2`).
     trace: Arc<TraceSink>,
     /// Monotonic query ids for `stl_query` (1-based, SELECTs only).
-    query_seq: std::sync::atomic::AtomicU64,
+    query_seq: AtomicU64,
     /// Leader-side WLM admission controller (§2.1): every SELECT holds a
     /// service-class concurrency slot for its whole execution.
     wlm: Arc<WlmController>,
@@ -180,7 +188,123 @@ pub struct Cluster {
     /// Bumped by every *committed* mutating statement; never by a
     /// rollback. Result-cache entries are pinned to the version they
     /// were produced under, so a bump is the invalidation.
-    catalog_version: std::sync::atomic::AtomicU64,
+    catalog_version: AtomicU64,
+}
+
+/// Where a cluster's blocks live.
+enum Storage {
+    /// Launched or recovered clusters.
+    Replicated(Arc<ReplicatedStore>),
+    /// Snapshot-restored clusters, for their whole life.
+    Restoring(Arc<StreamingRestoreStore>),
+}
+
+impl Storage {
+    /// Wire the storage into the cluster's trace and retry schedule, and
+    /// hand out one block store per node, encryption-wrapped when `keys`
+    /// is set. A restore shares one store across its nodes.
+    fn node_stores(&self, boot: &Boot, keys: Option<&ClusterKeys>) -> Vec<Arc<dyn BlockStore>> {
+        let config = boot.config;
+        match self {
+            Storage::Replicated(r) => {
+                r.set_trace(Arc::clone(boot.trace));
+                r.set_retry_policy(boot.retry);
+                let node_store = |n| Arc::new(r.node_store(NodeId(n)));
+                (0..config.nodes)
+                    .map(|n| encrypt_if(node_store(n), keys, config.seed ^ (n as u64 + 1)))
+                    .collect()
+            }
+            Storage::Restoring(r) => {
+                let shared = encrypt_if(Arc::clone(r), keys, config.seed);
+                (0..config.nodes).map(|_| Arc::clone(&shared)).collect()
+            }
+        }
+    }
+}
+
+/// Wrap `store` in block encryption under `keys`, if the cluster has them.
+fn encrypt_if<S: BlockStore + 'static>(
+    store: Arc<S>,
+    keys: Option<&ClusterKeys>,
+    nonce_seed: u64,
+) -> Arc<dyn BlockStore> {
+    match keys {
+        Some(k) => {
+            Arc::new(EncryptedBlockStore::<S>::new(store, Arc::clone(&k.keyring), nonce_seed))
+        }
+        None => store,
+    }
+}
+
+/// An encrypted cluster's key material (§3.2).
+#[derive(Clone)]
+struct ClusterKeys {
+    hsm: Arc<HsmSim>,
+    master: KeyId,
+    keyring: Arc<ClusterKeyring>,
+}
+
+impl ClusterKeys {
+    /// Write a snapshot's encryption envelope.
+    fn encode_envelope(keys: Option<&ClusterKeys>, w: &mut Writer) {
+        let Some(k) = keys else {
+            w.put_bool(false);
+            return;
+        };
+        w.put_bool(true);
+        w.put_u64(k.master.0);
+        w.put_bytes(&k.keyring.wrapped_cluster_key().to_bytes());
+        let block_keys = k.keyring.export_block_keys();
+        w.put_u32(block_keys.len() as u32);
+        for (id, wk) in block_keys {
+            w.put_u64(id);
+            w.put_raw(&wk.to_bytes());
+        }
+    }
+
+    /// Read the envelope [`ClusterKeys::encode_envelope`] wrote.
+    fn decode_envelope(r: &mut Reader, hsm: Option<Arc<HsmSim>>) -> Result<Option<ClusterKeys>> {
+        if !r.get_bool()? {
+            return Ok(None);
+        }
+        let hsm = hsm.ok_or_else(|| {
+            RsError::Crypto("encrypted snapshot requires the HSM holding its master key".into())
+        })?;
+        let master = KeyId(r.get_u64()?);
+        let wrapped = WrappedKey::from_bytes(r.get_bytes()?)?;
+        let keyring = Arc::new(ClusterKeyring::open(&hsm, master, wrapped)?);
+        let n = r.get_u32()? as usize;
+        let mut block_keys = Vec::with_capacity(n);
+        for _ in 0..n {
+            let id = r.get_u64()?;
+            let wk = WrappedKey::from_bytes(r.get_raw(28)?)?;
+            block_keys.push((id, wk));
+        }
+        keyring.import_block_keys(block_keys);
+        Ok(Some(ClusterKeys { hsm, master, keyring }))
+    }
+}
+
+/// What an entry point's `open` step gets from [`Cluster::assemble`].
+struct Boot<'a> {
+    config: &'a ClusterConfig,
+    topology: &'a ClusterTopology,
+    s3: &'a Arc<S3Sim>,
+    trace: &'a Arc<TraceSink>,
+    /// One retry schedule per cluster: jitter is derived from the
+    /// cluster seed so chaos runs replay bit-for-bit.
+    retry: RetryPolicy,
+}
+
+/// The durable state an entry point opens, creates or recovers.
+struct Durable {
+    storage: Storage,
+    keys: Option<ClusterKeys>,
+    catalog: Catalog,
+    wal: Wal,
+    /// Highest transaction id the log already holds.
+    txn_seq: u64,
+    loads_since_analyze: FxHashMap<String, u64>,
 }
 
 impl Cluster {
@@ -191,39 +315,49 @@ impl Cluster {
 
     /// Launch against a shared S3 (restore drills, DR, resize).
     pub fn launch_with_s3(config: ClusterConfig, s3: Arc<S3Sim>) -> Result<Arc<Cluster>> {
-        let topology = ClusterTopology::new(config.nodes, config.slices_per_node)?;
-        let replicated = ReplicatedStore::new(
-            config.nodes,
-            config.cohort_size.min(config.nodes.max(1)).max(2.min(config.nodes)),
-            Arc::clone(&s3),
-            config.region.clone(),
-            config.name.clone(),
-        )?;
-        let mut rng = Pcg32::seed_from_u64(config.seed);
-        let (hsm, master_key, keyring) = if config.encryption {
-            let hsm = Arc::new(HsmSim::new());
-            let master = hsm.create_master(&mut rng);
-            let keyring = Arc::new(ClusterKeyring::create(&hsm, master, &mut rng)?);
-            (Some(hsm), Some(master), Some(keyring))
-        } else {
-            (None, None, None)
-        };
-        let node_stores: Vec<Arc<dyn BlockStore>> = (0..config.nodes)
-            .map(|n| {
-                let ns = replicated.node_store(NodeId(n));
-                match &keyring {
-                    Some(k) => Arc::new(EncryptedBlockStore::new(
-                        ns,
-                        Arc::clone(k),
-                        config.seed ^ (n as u64 + 1),
-                    )) as Arc<dyn BlockStore>,
-                    None => Arc::new(ns) as Arc<dyn BlockStore>,
-                }
+        Self::assemble(config, s3, |boot, rng| {
+            let c = boot.config;
+            let replicated = ReplicatedStore::new(
+                c.nodes,
+                c.cohort_size.min(c.nodes.max(1)).max(2.min(c.nodes)),
+                Arc::clone(boot.s3),
+                c.region.clone(),
+                c.name.clone(),
+            )?;
+            let keys = if c.encryption {
+                let hsm = Arc::new(HsmSim::new());
+                let master = hsm.create_master(rng);
+                let keyring = Arc::new(ClusterKeyring::create(&hsm, master, rng)?);
+                Some(ClusterKeys { hsm, master, keyring })
+            } else {
+                None
+            };
+            Ok(Durable {
+                storage: Storage::Replicated(replicated),
+                keys,
+                catalog: Catalog::new(),
+                wal: Wal::new(Arc::clone(boot.s3.faults())),
+                txn_seq: 0,
+                loads_since_analyze: FxHashMap::default(),
             })
-            .collect();
-        // One retry schedule per cluster: jitter is derived from the
-        // cluster seed so chaos runs replay bit-for-bit.
+        })
+    }
+
+    /// The one place a `Cluster` is built: `open` supplies the durable
+    /// state, and the compute services are built around it here.
+    fn assemble(
+        config: ClusterConfig,
+        s3: Arc<S3Sim>,
+        open: impl FnOnce(&Boot, &mut Pcg32) -> Result<Durable>,
+    ) -> Result<Arc<Cluster>> {
+        let topology = ClusterTopology::new(config.nodes, config.slices_per_node)?;
+        let trace = Arc::new(TraceSink::from_env());
+        s3.set_trace(Arc::clone(&trace));
         let retry = config.retry.with_seed(config.seed);
+        let mut rng = Pcg32::seed_from_u64(config.seed);
+        let boot = Boot { config: &config, topology: &topology, s3: &s3, trace: &trace, retry };
+        let durable = open(&boot, &mut rng)?;
+        let node_stores = durable.storage.node_stores(&boot, durable.keys.as_ref());
         let backup = BackupManager::new(
             Arc::clone(&s3),
             config.region.clone(),
@@ -232,46 +366,37 @@ impl Cluster {
             config.system_snapshot_retention,
         )
         .with_retry(retry);
-        let trace = Arc::new(TraceSink::from_env());
-        s3.set_trace(Arc::clone(&trace));
-        replicated.set_trace(Arc::clone(&trace));
-        replicated.set_retry_policy(retry);
-        let wlm = Arc::new(WlmController::new(&config.wlm, Arc::clone(&trace)));
-        let wal = Wal::new(Arc::clone(s3.faults()));
         Ok(Arc::new(Cluster {
+            topology,
+            storage: durable.storage,
+            node_stores,
+            keys: durable.keys,
+            catalog: RwLock::new(durable.catalog),
+            txn_seq: AtomicU64::new(durable.txn_seq),
+            wal: durable.wal,
+            loads_since_analyze: Mutex::new(durable.loads_since_analyze),
+            backup,
             plan_cache: PlanCache::with_policy(
                 config.plan_cache_capacity,
                 config.compile_work_per_node,
                 config.plan_cache_eviction,
             ),
-            topology,
-            s3,
-            replicated: Some(replicated),
-            restoring: None,
-            node_stores,
-            backup,
-            hsm,
-            master_key,
-            keyring,
-            catalog: RwLock::new(Catalog::new()),
             state: RwLock::new(ClusterState::Available),
             write_txn: Mutex::new(()),
             data_lock: RwLock::new(()),
-            txn_seq: AtomicU64::new(0),
-            wal,
             hard_crash: AtomicBool::new(false),
             rng: Mutex::new(rng),
             usage: UsageStats::default(),
-            loads_since_analyze: Mutex::new(redsim_common::FxHashMap::default()),
+            query_seq: AtomicU64::new(0),
+            wlm: Arc::new(WlmController::new(&config.wlm, Arc::clone(&trace))),
             sessions: SessionManager::new(Arc::clone(&trace)),
             result_cache: ResultCache::new(
                 config.result_cache_capacity,
                 config.result_cache_max_rows,
             ),
-            catalog_version: std::sync::atomic::AtomicU64::new(0),
+            catalog_version: AtomicU64::new(0),
             trace,
-            query_seq: std::sync::atomic::AtomicU64::new(0),
-            wlm,
+            s3,
             config,
         }))
     }
@@ -322,19 +447,28 @@ impl Cluster {
     }
 
     pub fn replicated_store(&self) -> Option<&Arc<ReplicatedStore>> {
-        self.replicated.as_ref()
+        match &self.storage {
+            Storage::Replicated(r) => Some(r),
+            Storage::Restoring(_) => None,
+        }
+    }
+
+    /// A restored cluster reads through its restore store for life, even
+    /// once fully hydrated, so it cannot take snapshots or crash images.
+    fn require_replicated(&self) -> Result<&Arc<ReplicatedStore>> {
+        self.replicated_store().ok_or_else(|| {
+            RsError::InvalidState(
+                "snapshots and crash images are not supported on a restored cluster".into(),
+            )
+        })
     }
 
     pub fn plan_cache_stats(&self) -> (u64, u64) {
         self.plan_cache.stats()
     }
 
-    pub fn backup_manager(&self) -> &BackupManager {
-        &self.backup
-    }
-
     pub fn hsm(&self) -> Option<&Arc<HsmSim>> {
-        self.hsm.as_ref()
+        self.keys.as_ref().map(|k| &k.hsm)
     }
 
     /// Stage an object into this cluster's S3 (test/demo data for COPY).
@@ -429,9 +563,11 @@ impl Cluster {
     }
 
     fn execute_inner(&self, sql: &str, ctx: &SessionCtx) -> Result<ExecSummary> {
-        match redsim_sql::parse(sql)? {
+        let (stmt, parse_ns) = timed_parse(sql)?;
+        match stmt {
             Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
-                let r = self.query_with_ctx(sql, ctx)?;
+                self.check_readable()?;
+                let r = self.run_select(sql, stmt, parse_ns, ctx)?;
                 Ok(ExecSummary {
                     rows_affected: r.rows.len() as u64,
                     message: format!("SELECT {}", r.rows.len()),
@@ -464,36 +600,17 @@ impl Cluster {
         }
     }
 
-    /// Run a SELECT (or EXPLAIN) and return rows.
-    pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        self.query_as_impl(sql, None)
-    }
-
-    /// Run a SELECT as a member of `user_group` — WLM routes the query
-    /// to the first service class whose rules match (see
-    /// [`crate::wlm::WlmConfig`]).
-    #[deprecated(
-        note = "connect() a Session (Cluster::connect / SessionOpts) and use Session::query; \
-                this shim routes through an implicit single-statement session"
-    )]
-    pub fn query_as(&self, sql: &str, user_group: Option<&str>) -> Result<QueryResult> {
-        self.query_as_impl(sql, user_group)
-    }
-
-    /// The sessionless compatibility path: registers an implicit
+    /// Run a SELECT (or EXPLAIN) and return rows, through an implicit
     /// single-statement session (so `stv_sessions`, the `sessions.active`
-    /// gauge, WLM routing, and `stl_query`'s session columns behave
-    /// exactly as for a real session), runs the statement with the
-    /// result cache off (legacy callers assert on cold-execution
-    /// telemetry), and disconnects.
-    fn query_as_impl(&self, sql: &str, user_group: Option<&str>) -> Result<QueryResult> {
-        let shared = self.sessions.register("default", user_group, true);
+    /// gauge, WLM routing, and `stl_query`'s session columns behave exactly
+    /// as for a real session) with the result cache off (callers assert on
+    /// cold-execution telemetry).
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+        let shared = self.sessions.register("default", None, true);
         let ctx = SessionCtx {
             session_id: shared.id(),
             userid: shared.userid(),
-            user_group: user_group.map(str::to_string),
-            use_result_cache: false,
-            comp_update_default: true,
+            ..SessionCtx::unregistered()
         };
         let r = self.query_with_ctx(sql, &ctx);
         self.sessions.unregister(&shared);
@@ -502,27 +619,8 @@ impl Cluster {
 
     pub(crate) fn query_with_ctx(&self, sql: &str, ctx: &SessionCtx) -> Result<QueryResult> {
         self.check_readable()?;
-        let t_parse = std::time::Instant::now();
-        let stmt = redsim_sql::parse(sql)?;
-        let parse_ns = t_parse.elapsed().as_nanos() as u64;
-        match stmt {
-            Statement::Select(sel) => {
-                self.run_select(sql, &sel, SelectMode::Execute, parse_ns, ctx)
-            }
-            Statement::Explain(inner) => match *inner {
-                Statement::Select(sel) => {
-                    self.run_select(sql, &sel, SelectMode::ExplainOnly, parse_ns, ctx)
-                }
-                _ => Err(RsError::Unsupported("EXPLAIN supports SELECT only".into())),
-            },
-            Statement::ExplainAnalyze(inner) => match *inner {
-                Statement::Select(sel) => {
-                    self.run_select(sql, &sel, SelectMode::ExplainAnalyze, parse_ns, ctx)
-                }
-                _ => Err(RsError::Unsupported("EXPLAIN ANALYZE supports SELECT only".into())),
-            },
-            _ => Err(RsError::Analysis("not a query; use execute()".into())),
-        }
+        let (stmt, parse_ns) = timed_parse(sql)?;
+        self.run_select(sql, stmt, parse_ns, ctx)
     }
 
     /// The WLM admission controller (drain control, live queue state).
@@ -561,268 +659,69 @@ impl Cluster {
         total.saturating_mul(refs.len().max(1) as u64)
     }
 
+    /// Run a parsed SELECT, EXPLAIN or EXPLAIN ANALYZE, one call per stage
+    /// (DESIGN.md §17).
     fn run_select(
         &self,
         sql: &str,
-        sel: &ast::Select,
-        mode: SelectMode,
+        stmt: Statement,
         parse_ns: u64,
         ctx: &SessionCtx,
     ) -> Result<QueryResult> {
-        // Queries over `stl_*` / `svl_*` virtual tables run leader-local
-        // against the telemetry sink (and are not themselves recorded).
-        let refs = sel.referenced_tables();
-        if refs.iter().any(|t| systables::is_system_table(t)) {
-            if !refs.iter().all(|t| systables::is_system_table(t)) {
-                return Err(RsError::Unsupported(
-                    "joining system tables with user tables is not supported".into(),
-                ));
+        let (stmt, mode) = match stmt {
+            Statement::Explain(inner) => (*inner, SelectMode::ExplainOnly),
+            Statement::ExplainAnalyze(inner) => (*inner, SelectMode::ExplainAnalyze),
+            stmt => (stmt, SelectMode::Execute),
+        };
+        let sel = match stmt {
+            Statement::Select(sel) => sel,
+            _ if mode == SelectMode::Execute => {
+                return Err(RsError::Analysis("not a query; use execute()".into()))
             }
-            return self.run_system_select(sel, &refs, mode == SelectMode::ExplainOnly);
+            _ => return Err(RsError::Unsupported(format!("{} supports SELECT only", mode.name()))),
+        };
+        let refs = sel.referenced_tables();
+        if reads_system_tables(&refs)? {
+            return self.run_system_select(&sel, &refs, mode);
         }
-        // Leader result cache: probed before WLM admission, planning, or
-        // any data lock — a hit costs one hash lookup. EXPLAIN (both
-        // flavors) and system-table reads never participate; a session
-        // can opt out (and the sessionless compat path always does).
+        // EXPLAIN (both flavors) and system-table reads never take part in
+        // the result cache; a session can opt out, and `query` always does.
         let cacheable = mode == SelectMode::Execute && ctx.use_result_cache;
         if cacheable {
-            let version = self.catalog_version();
-            if let Some(hit) = self.result_cache.get(sql, ctx.user_group.as_deref(), version) {
-                return Ok(self.serve_cached(sql, ctx, &hit));
+            if let Some(hit) = self.probe_result_cache(sql, ctx) {
+                return Ok(hit);
             }
-            self.trace.counter("result_cache.misses").incr();
         }
-        // WLM admission (§2.1): hold a service-class concurrency slot
-        // before taking any data lock, so a queued query starves neither
-        // writers nor the queries already running. EXPLAIN and EXPLAIN
-        // ANALYZE are diagnostics and bypass admission (so monitoring
-        // rules — including abort — can never fire on them); system-table
-        // reads above bypass it too, so queue state stays observable when
-        // every slot is busy.
-        let mut wlm_guard = if mode == SelectMode::Execute {
-            Some(self.wlm.admit(self.estimate_cost(&refs), ctx.user_group.as_deref())?)
-        } else {
-            None
-        };
-        let queue_wait_ns = wlm_guard.as_ref().map_or(0, |g| g.queue_wait_ns());
-        // Root span for stl_query: LVL_CORE records even at RSIM_TRACE=0.
-        // EXPLAIN / EXPLAIN ANALYZE are diagnostics and are not logged
-        // (as in the real STL_QUERY, which records executed queries).
-        let mut qspan = if mode == SelectMode::Execute {
-            self.trace.span(LVL_CORE, "query")
-        } else {
-            redsim_obs::Span::disabled()
-        };
-        qspan.child_completed(LVL_PHASE, "query.parse", parse_ns, &[]);
-        if queue_wait_ns > 0 {
-            qspan.child_completed(LVL_PHASE, "wlm.wait", queue_wait_ns, &[]);
-        }
-        let _snapshot = self.data_lock.read();
-        let catalog = self.catalog.read();
-        // MVCC read point: the catalog version *before* capturing table
-        // snapshots, and the committed version of every referenced table.
-        // Writers can commit concurrently (they hold the data lock
-        // shared); this query keeps scanning the versions captured here.
-        let version_at_snapshot = self.catalog_version();
-        let snapshots = snapshot_tables(&catalog, &refs);
-        let view = PlannerCatalog { catalog: &catalog, total_slices: self.topology.total_slices() };
-        let (plan, plan_text) = {
-            let pspan = qspan.child(LVL_PHASE, "query.plan");
-            let bound = Binder::new(&view).bind_select(sel)?;
-            let plan = optimizer::optimize(bound, &view);
-            let plan_text = plan.explain();
-            pspan.finish();
-            (plan, plan_text)
-        };
-        self.usage.record_feature(match mode {
-            SelectMode::Execute => "SELECT",
-            SelectMode::ExplainOnly => "EXPLAIN",
-            SelectMode::ExplainAnalyze => "EXPLAIN ANALYZE",
-        });
-        self.usage.record_plan_shape(autonomics::plan_shape(&plan_text));
+        let mut run = SelectRun::admit(self, sql, ctx, mode, &refs, parse_ns)?;
+        let snap = self.read_snapshot(&refs);
+        let (plan, plan_text) = run.plan(&snap, &sel)?;
         if mode == SelectMode::ExplainOnly {
-            let columns = vec![OutCol { name: "QUERY PLAN".into(), ty: DataType::Varchar }];
-            let rows = plan_text
-                .lines()
-                .map(|l| Row::new(vec![Value::Str(l.to_string())]))
-                .collect();
-            return Ok(QueryResult {
-                columns,
-                rows,
-                metrics: ExecMetrics::default(),
-                plan: plan_text,
-                cache_hit: false,
-                result_cache_hit: false,
-            });
+            return Ok(explain_result(plan_text, None, ExecMetrics::default(), false));
         }
-        // Leader: compile (cache) then dispatch to slices.
-        let (cache_hit, compiled, compile_ns) = {
-            let mut cspan = qspan.child(LVL_PHASE, "query.compile");
-            let (hits_before, _) = self.plan_cache.stats();
-            let t0 = std::time::Instant::now();
-            let compiled = self.plan_cache.get_or_compile(plan);
-            let compile_ns = t0.elapsed().as_nanos() as u64;
-            let cache_hit = self.plan_cache.stats().0 > hits_before;
-            self.trace
-                .counter(if cache_hit { "plan_cache.hits" } else { "plan_cache.misses" })
-                .incr();
-            cspan.attr("cache", if cache_hit { "hit" } else { "miss" });
-            cspan.finish();
-            (cache_hit, compiled, compile_ns)
-        };
-        let fabric = ComputeFabric { cluster: self, catalog: &catalog, snapshots };
-        let mut espan = qspan.child(LVL_PHASE, "query.exec");
-        // Per-step profiling feeds `svl_query_report`; EXPLAIN ANALYZE
-        // needs it regardless of the cluster-wide setting.
-        let profiling = mode == SelectMode::ExplainAnalyze
-            || (mode == SelectMode::Execute && self.config.profile_queries);
-        let t_exec = std::time::Instant::now();
-        let mut out = {
-            let executor = Executor::new(&fabric)
-                .with_trace(&espan)
-                .with_profiling(profiling)
-                .with_faults(std::sync::Arc::clone(self.faults()));
-            executor.run(&compiled.plan)?
-        };
-        let exec_ns = t_exec.elapsed().as_nanos() as u64;
-        out.metrics.queue_wait_ns = queue_wait_ns;
-        out.metrics.exec_ns = exec_ns;
+        let (compiled, cache_hit, compile_ns) = run.compile(plan);
+        let mut out = run.execute(&snap, &compiled.plan)?;
+        out.metrics.queue_wait_ns = run.queue_wait_ns();
         out.metrics.compile_ns = compile_ns;
-        if espan.is_recording() {
-            espan.attr("slices", self.topology.total_slices());
-            espan.attr("rows_out", out.rows.len());
-        }
-        espan.finish();
-        // Query id is allocated only for logged (executed) queries, and
-        // shared between the `stl_query` row and its `svl_query_report`
-        // step rows.
-        let qid = if qspan.is_recording() {
-            self.query_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1
-        } else {
-            0
-        };
-        // Query-monitoring rules, merge point: evaluated on the leader
-        // while the service-class slot is still held, against the final
-        // execution metrics. A hop re-homes the slot; an abort releases
-        // it and fails the query (results are discarded leader-side —
-        // compute work is already sunk, as in the real QMR).
-        if let Some(g) = wlm_guard.as_mut() {
-            let stats = QmrStats {
-                exec_ns,
-                queue_ns: queue_wait_ns,
-                rows_scanned: out.metrics.rows_scanned,
-                bytes_scanned: out.metrics.bytes_read,
-                nested_loop_join: plan_has_residual_join(&compiled.plan),
-            };
-            if let Err(e) = g.evaluate_rules(&stats) {
-                if qspan.is_recording() {
-                    qspan.attr("query", qid);
-                    qspan.attr("querytxt", sql);
-                    qspan.attr("rows", 0u64);
-                    qspan.attr("aborted", true);
-                    qspan.attr("userid", ctx.userid);
-                    qspan.attr("session", ctx.session_id);
-                }
-                qspan.finish();
-                return Err(e);
-            }
-        }
-        // Per-step report rows ride the trace as standalone spans so the
-        // existing retention machinery bounds them like everything else.
-        if mode == SelectMode::Execute && profiling {
-            for s in &out.profile {
-                self.trace.span_completed(
-                    LVL_CORE,
-                    "profile.step",
-                    s.elapsed_ns,
-                    &[
-                        ("query", AttrValue::I64(qid as i64)),
-                        ("step", AttrValue::U64(s.step as u64)),
-                        ("slice", AttrValue::U64(s.slice as u64)),
-                        ("label", AttrValue::Str(s.label.clone())),
-                        ("rows", AttrValue::U64(s.rows)),
-                        ("bytes", AttrValue::U64(s.bytes)),
-                    ],
-                );
-            }
-        }
+        // Query ids go to logged (executed) queries only, shared between
+        // the `stl_query` row and its `svl_query_report` step rows.
+        let qid = run.next_query_id();
+        run.monitor(qid, &out.metrics, &compiled.plan)?;
         if mode == SelectMode::ExplainAnalyze {
-            // Fold the per-slice profile per step: rows sum across
-            // slices; elapsed is inclusive wall time, so take the max.
-            let n = compiled.plan.num_steps();
-            let mut step_rows = vec![0u64; n + 1];
-            let mut step_ns = vec![0u64; n + 1];
-            for s in &out.profile {
-                if s.step <= n {
-                    step_rows[s.step] += s.rows;
-                    step_ns[s.step] = step_ns[s.step].max(s.elapsed_ns);
-                }
-            }
-            let columns = vec![OutCol { name: "QUERY PLAN".into(), ty: DataType::Varchar }];
-            let rows = plan_text
-                .lines()
-                .enumerate()
-                .map(|(i, l)| {
-                    let step = i + 1;
-                    Row::new(vec![Value::Str(format!(
-                        "{} (actual rows={} time={:.3}ms)",
-                        l,
-                        step_rows.get(step).copied().unwrap_or(0),
-                        *step_ns.get(step).unwrap_or(&0) as f64 / 1e6,
-                    ))])
-                })
-                .collect();
-            return Ok(QueryResult {
-                columns,
-                rows,
-                metrics: out.metrics,
-                plan: plan_text,
-                cache_hit,
-                result_cache_hit: false,
-            });
+            let actuals = step_actuals(&out.profile, compiled.plan.num_steps());
+            return Ok(explain_result(plan_text, Some(&actuals), out.metrics, cache_hit));
         }
-        self.trace.histogram("query.exec_ns").record(exec_ns);
-        if qspan.is_recording() {
-            let m = &out.metrics;
-            qspan.attr("query", qid);
-            qspan.attr("querytxt", sql);
-            qspan.attr("rows", out.rows.len());
-            qspan.attr("compile_cache", if cache_hit { "hit" } else { "miss" });
-            qspan.attr("compile_ns", compile_ns);
-            qspan.attr("exec_ns", exec_ns);
-            qspan.attr("rows_scanned", m.rows_scanned);
-            qspan.attr("blocks_read", m.blocks_read);
-            qspan.attr("bytes_read", m.bytes_read);
-            qspan.attr("bytes_broadcast", m.bytes_broadcast);
-            qspan.attr("bytes_redistributed", m.bytes_redistributed);
-            qspan.attr("groups_total", m.groups_total);
-            qspan.attr("groups_skipped", m.groups_skipped);
-            qspan.attr("queue_wait_us", queue_wait_ns / 1_000);
-            if let Some(g) = &wlm_guard {
-                qspan.attr("service_class", g.service_class().to_string());
-            }
-            qspan.attr("userid", ctx.userid);
-            qspan.attr("session", ctx.session_id);
-            qspan.attr("result_cache", if cacheable { "miss" } else { "off" });
-            qspan.attr("plan", plan_text.clone());
-        }
-        qspan.finish();
+        run.record_executed(qid, &out, cache_hit, cacheable, &plan_text);
         if cacheable {
-            // Fill keyed on the version captured *before* the table
-            // snapshots. A writer may have committed (and bumped the
-            // version) while we executed; keying on the pre-snapshot
-            // version means the entry is at worst unreachable (probes use
-            // the newer version), never stale-for-its-key.
-            self.result_cache.put(
-                sql,
-                ctx.user_group.as_deref(),
-                version_at_snapshot,
-                CachedResult {
-                    columns: out.columns.clone(),
-                    rows: out.rows.clone(),
-                    plan: plan_text.clone(),
-                },
-            );
+            // Keyed on the version captured *before* the table snapshots.
+            // A writer may have committed (and bumped the version) while
+            // we executed; the entry is then at worst unreachable (probes
+            // use the newer version), never stale for its key.
+            let entry = CachedResult {
+                columns: out.columns.clone(),
+                rows: out.rows.clone(),
+                plan: plan_text.clone(),
+            };
+            self.result_cache.put(sql, ctx.user_group.as_deref(), snap.catalog_version, entry);
         }
         Ok(QueryResult {
             columns: out.columns,
@@ -834,34 +733,48 @@ impl Cluster {
         })
     }
 
-    /// The result-cache hit path: no WLM admission, no planning, no
-    /// compile, no execution — just the cached rows, plus an `stl_query`
-    /// row so dashboards still see their queries. The absence of
-    /// `query.compile` / `query.exec` child spans under this `query`
-    /// span is how tests verify the skip.
-    fn serve_cached(&self, sql: &str, ctx: &SessionCtx, hit: &CachedResult) -> QueryResult {
+    /// Stage 2: probed before WLM admission, planning, or any data lock —
+    /// a hit costs one hash lookup, plus an `stl_query` row so dashboards
+    /// still see their queries. The absence of `query.compile` /
+    /// `query.exec` children under that span is how tests verify the skip.
+    fn probe_result_cache(&self, sql: &str, ctx: &SessionCtx) -> Option<QueryResult> {
+        let group = ctx.user_group.as_deref();
+        let Some(hit) = self.result_cache.get(sql, group, self.catalog_version()) else {
+            self.trace.counter("result_cache.misses").incr();
+            return None;
+        };
         self.trace.counter("result_cache.hits").incr();
-        let mut qspan = self.trace.span(LVL_CORE, "query");
-        if qspan.is_recording() {
-            let qid = self.query_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            qspan.attr("query", qid);
-            qspan.attr("querytxt", sql);
-            qspan.attr("rows", hit.rows.len());
-            qspan.attr("userid", ctx.userid);
-            qspan.attr("session", ctx.session_id);
-            qspan.attr("result_cache", "hit");
-            qspan.attr("plan", hit.plan.clone());
-        }
-        qspan.finish();
+        let qspan = self.trace.span(LVL_CORE, "query");
+        let mut run =
+            SelectRun { cluster: self, sql, ctx, mode: SelectMode::Execute, qspan, wlm: None };
+        let qid = run.next_query_id();
+        run.record(qid, hit.rows.len(), |_, _| {}, Some(("hit", &hit.plan)));
+        drop(run);
         self.usage.record_feature("SELECT");
-        QueryResult {
+        Some(QueryResult {
             columns: hit.columns.clone(),
             rows: hit.rows.clone(),
             metrics: ExecMetrics::default(),
             plan: hit.plan.clone(),
             cache_hit: false,
             result_cache_hit: true,
-        }
+        })
+    }
+
+    /// MVCC read point: the catalog version *before* the table snapshots,
+    /// then each referenced table's committed version. Writers commit
+    /// concurrently (they hold the data lock shared); this statement keeps
+    /// scanning the versions captured here.
+    fn read_snapshot(&self, refs: &[&str]) -> ReadSnapshot<'_> {
+        let storage = self.data_lock.read();
+        let catalog = self.catalog.read();
+        let catalog_version = self.catalog_version();
+        // Unknown names are skipped — binding reports them as missing.
+        let tables = refs
+            .iter()
+            .filter_map(|t| catalog.get(t).map(|e| (t.to_ascii_lowercase(), e.snapshot())))
+            .collect();
+        ReadSnapshot { cluster: self, _storage: storage, catalog, catalog_version, tables }
     }
 
     /// Leader-local execution over the virtual system tables: one slice,
@@ -870,7 +783,7 @@ impl Cluster {
         &self,
         sel: &ast::Select,
         refs: &[&str],
-        explain_only: bool,
+        mode: SelectMode,
     ) -> Result<QueryResult> {
         let sys = SystemTables::capture(
             &self.trace,
@@ -879,24 +792,11 @@ impl Cluster {
             Some(&self.sessions),
             refs,
         );
-        let bound = Binder::new(&sys).bind_select(sel)?;
-        let plan = optimizer::optimize(bound, &sys);
+        let plan = plan_select(&sys, sel)?;
         let plan_text = plan.explain();
         self.usage.record_feature("SYSTEM TABLE");
-        if explain_only {
-            let columns = vec![OutCol { name: "QUERY PLAN".into(), ty: DataType::Varchar }];
-            let rows = plan_text
-                .lines()
-                .map(|l| Row::new(vec![Value::Str(l.to_string())]))
-                .collect();
-            return Ok(QueryResult {
-                columns,
-                rows,
-                metrics: ExecMetrics::default(),
-                plan: plan_text,
-                cache_hit: false,
-                result_cache_hit: false,
-            });
+        if mode == SelectMode::ExplainOnly {
+            return Ok(explain_result(plan_text, None, ExecMetrics::default(), false));
         }
         let out = Executor::new(&sys).run(&plan)?;
         Ok(QueryResult {
@@ -917,14 +817,9 @@ impl Cluster {
             Statement::Select(s) => s,
             _ => return Err(RsError::Analysis("not a SELECT".into())),
         };
-        let _snapshot = self.data_lock.read();
-        let catalog = self.catalog.read();
-        let snapshots = snapshot_tables(&catalog, &sel.referenced_tables());
-        let view = PlannerCatalog { catalog: &catalog, total_slices: self.topology.total_slices() };
-        let bound = Binder::new(&view).bind_select(&sel)?;
-        let plan = optimizer::optimize(bound, &view);
-        let source = InterpSource { cluster: self, catalog: &catalog, snapshots };
-        baseline::run_plan(&plan, &source)
+        let snap = self.read_snapshot(&sel.referenced_tables());
+        let plan = plan_select(&snap.planner_catalog(), &sel)?;
+        baseline::run_plan(&plan, &snap)
     }
 
     // ------------------------------------------------------------------
@@ -1029,9 +924,7 @@ impl Cluster {
         // same table fails fast with a serializable-isolation error.
         let _shared = self.data_lock.read();
         let catalog = self.catalog.read();
-        let entry = catalog
-            .get(&ins.table)
-            .ok_or_else(|| RsError::NotFound(format!("relation {:?}", ins.table)))?;
+        let entry = catalog.require(&ins.table)?;
         let txn = self.begin_write_txn(WriteScope::Table(&entry))?;
         // Map the column list (or full schema order).
         let target_cols: Vec<usize> = match &ins.columns {
@@ -1147,21 +1040,7 @@ impl Cluster {
         let mut w = Writer::new();
         w.put_str(&entry.name);
         w.put_u64(*entry.rows_estimate.read());
-        w.put_u32(entry.router.lock().cursor());
-        match entry.stats.read().as_ref() {
-            Some(s) => {
-                w.put_bool(true);
-                s.encode(&mut w);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u64(
-            self.loads_since_analyze
-                .lock()
-                .get(&entry.name.to_ascii_lowercase())
-                .copied()
-                .unwrap_or(0),
-        );
+        self.encode_table_extras(entry, &mut w);
         w.put_u32(entry.slices.len() as u32);
         for s in &entry.slices {
             s.lock().encode_meta(&mut w);
@@ -1187,21 +1066,7 @@ impl Cluster {
         w.put_u32(tables.len() as u32);
         for t in tables {
             w.put_str(&t.name);
-            w.put_u32(t.router.lock().cursor());
-            match t.stats.read().as_ref() {
-                Some(s) => {
-                    w.put_bool(true);
-                    s.encode(&mut w);
-                }
-                None => w.put_bool(false),
-            }
-            w.put_u64(
-                self.loads_since_analyze
-                    .lock()
-                    .get(&t.name.to_ascii_lowercase())
-                    .copied()
-                    .unwrap_or(0),
-            );
+            self.encode_table_extras(t, &mut w);
         }
         self.wal.append_checkpoint(txn, &w.into_bytes())?;
         self.wal.commit(txn)?;
@@ -1218,6 +1083,19 @@ impl Cluster {
             Err(_) => self.trace.counter("wal.truncate_errors").incr(),
         }
         Ok(())
+    }
+
+    /// Append `entry`'s [`TableExtras`] to a redo record.
+    fn encode_table_extras(&self, entry: &TableEntry, w: &mut Writer) {
+        w.put_u32(entry.router.lock().cursor());
+        match entry.stats.read().as_ref() {
+            Some(s) => {
+                w.put_bool(true);
+                s.encode(w);
+            }
+            None => w.put_bool(false),
+        }
+        w.put_u64(self.loads_since_analyze(&entry.name));
     }
 
     /// Open a slice-level write transaction over `entry` (DESIGN.md §11).
@@ -1263,9 +1141,8 @@ impl Cluster {
         let per_slice = entry.router.lock().route(&batch)?;
         // Per-slice appends are independent; run them on worker threads
         // ("COPY is parallelized across slices", §2.1).
-        let results: Vec<Result<()>> = parallel_map(
-            per_slice.into_iter().enumerate().collect(),
-            |(slice, cols)| {
+        let results: Vec<Result<()>> =
+            par::map(per_slice.into_iter().enumerate().collect(), |(slice, cols)| {
                 let store = self.store_for_slice(slice);
                 let mut t = entry.slices[slice].lock();
                 t.append(&cols, store.as_ref())?;
@@ -1273,8 +1150,7 @@ impl Cluster {
                     t.flush(store.as_ref())?;
                 }
                 Ok(())
-            },
-        );
+            });
         for r in results {
             r?;
         }
@@ -1292,9 +1168,7 @@ impl Cluster {
         // fails fast with a serializable-isolation error.
         let _shared = self.data_lock.read();
         let catalog = self.catalog.read();
-        let entry = catalog
-            .get(&c.table)
-            .ok_or_else(|| RsError::NotFound(format!("relation {:?}", c.table)))?;
+        let entry = catalog.require(&c.table)?;
         let wtxn = self.begin_write_txn(WriteScope::Table(&entry))?;
         // `s3://prefix` → object listing in the home region.
         let prefix = c
@@ -1340,7 +1214,7 @@ impl Cluster {
         };
         // Parse objects in parallel (each slice "reading data in
         // parallel"), then route + append.
-        let texts: Vec<Result<Vec<ColumnData>>> = parallel_map(keys, |key| {
+        let texts: Vec<Result<Vec<ColumnData>>> = par::map(keys, |key| {
             let mut ospan = span.child(LVL_DETAIL, "copy.object");
             if ospan.is_recording() {
                 ospan.attr("object", key.clone());
@@ -1400,16 +1274,13 @@ impl Cluster {
         // Flush buffered tails on every slice (this is where row groups
         // are sealed into encoded blocks).
         let seal_span = span.child(LVL_PHASE, "copy.seal");
-        let results: Vec<Result<()>> = parallel_map(
-            (0..entry.slices.len()).collect(),
-            |slice| {
-                let mut sspan = seal_span.child(LVL_DETAIL, "copy.slice_seal");
-                if sspan.is_recording() {
-                    sspan.attr("slice", slice);
-                }
-                entry.slices[slice].lock().flush(self.store_for_slice(slice).as_ref())
-            },
-        );
+        let results: Vec<Result<()>> = par::map_indexed(entry.slices.len(), |slice| {
+            let mut sspan = seal_span.child(LVL_DETAIL, "copy.slice_seal");
+            if sspan.is_recording() {
+                sspan.attr("slice", slice);
+            }
+            entry.slices[slice].lock().flush(self.store_for_slice(slice).as_ref())
+        });
         seal_span.finish();
         // Aggregate per-slice seal failures instead of dropping all but
         // the first: the returned error names every failed slice, and
@@ -1473,13 +1344,7 @@ impl Cluster {
     fn run_vacuum(&self, table: Option<&str>) -> Result<ExecSummary> {
         self.check_writable()?;
         let txn = self.begin_write_txn(WriteScope::Exclusive)?;
-        let catalog = self.catalog.read();
-        let targets: Vec<Arc<TableEntry>> = match table {
-            Some(t) => vec![catalog
-                .get(t)
-                .ok_or_else(|| RsError::NotFound(format!("relation {t:?}")))?],
-            None => catalog.tables().cloned().collect(),
-        };
+        let targets = self.catalog.read().targets(table)?;
         // Deferred deletion: the rewrite installs new blocks but keeps
         // the old ones until the checkpoint below is durably committed.
         // A crash before the commit mark recovers the pre-vacuum layout
@@ -1489,14 +1354,10 @@ impl Cluster {
         let mut old_blocks = Vec::new();
         let mut rewritten = 0u64;
         for entry in &targets {
-            let results: Vec<Result<(u64, Vec<redsim_storage::BlockId>)>> = parallel_map(
-                (0..entry.slices.len()).collect(),
-                |slice| {
-                    entry.slices[slice]
-                        .lock()
-                        .vacuum_deferred(self.store_for_slice(slice).as_ref())
-                },
-            );
+            let results: Vec<Result<(u64, Vec<redsim_storage::BlockId>)>> =
+                par::map_indexed(entry.slices.len(), |slice| {
+                    entry.slices[slice].lock().vacuum_deferred(self.store_for_slice(slice).as_ref())
+                });
             for r in results {
                 let (rows, blocks) = r?;
                 rewritten += rows;
@@ -1525,13 +1386,7 @@ impl Cluster {
         // them durable are a consistent image. (A COPY's STATUPDATE
         // analyze instead rides the COPY's own writer lock and delta.)
         let txn = self.begin_write_txn(WriteScope::Exclusive)?;
-        let catalog = self.catalog.read();
-        let targets: Vec<Arc<TableEntry>> = match table {
-            Some(t) => vec![catalog
-                .get(t)
-                .ok_or_else(|| RsError::NotFound(format!("relation {t:?}")))?],
-            None => catalog.tables().cloned().collect(),
-        };
+        let targets = self.catalog.read().targets(table)?;
         let mut analyzed = 0;
         for entry in &targets {
             self.analyze_entry(entry)?;
@@ -1547,13 +1402,9 @@ impl Cluster {
 
     fn analyze_entry(&self, entry: &TableEntry) -> Result<()> {
         // ALL-distributed tables: stats from one slice (each holds a copy).
-        let slice_range: Vec<usize> = if matches!(entry.dist_style, DistStyle::All) {
-            vec![0]
-        } else {
-            (0..entry.slices.len()).collect()
-        };
+        let n = if matches!(entry.dist_style, DistStyle::All) { 1 } else { entry.slices.len() };
         let builders: Vec<Result<redsim_storage::stats::StatsBuilder>> =
-            parallel_map(slice_range, |slice| {
+            par::map_indexed(n, |slice| {
                 entry.slices[slice].lock().analyze(self.store_for_slice(slice).as_ref())
             });
         let mut merged: Option<redsim_storage::stats::StatsBuilder> = None;
@@ -1580,11 +1431,7 @@ impl Cluster {
     /// Take a snapshot (system snapshots age out; user snapshots persist).
     pub fn create_snapshot(&self, id: &str, kind: SnapshotKind) -> Result<SnapshotInfo> {
         self.check_readable()?;
-        let replicated = self.replicated.as_ref().ok_or_else(|| {
-            RsError::InvalidState(
-                "snapshot requires a fully-hydrated cluster (restore in progress)".into(),
-            )
-        })?;
+        let replicated = self.require_replicated()?;
         // Exclusive: waits out in-flight table writers, so the manifest
         // only ever references committed blocks.
         let _txn = self.begin_write_txn(WriteScope::Exclusive)?;
@@ -1602,20 +1449,7 @@ impl Cluster {
         }
         let mut w = Writer::new();
         // Encryption envelope first, then the catalog.
-        match (&self.keyring, self.master_key) {
-            (Some(k), Some(master)) => {
-                w.put_bool(true);
-                w.put_u64(master.0);
-                w.put_bytes(&k.wrapped_cluster_key().to_bytes());
-                let keys = k.export_block_keys();
-                w.put_u32(keys.len() as u32);
-                for (id, wk) in keys {
-                    w.put_u64(id);
-                    w.put_raw(&wk.to_bytes());
-                }
-            }
-            _ => w.put_bool(false),
-        }
+        ClusterKeys::encode_envelope(self.keys.as_ref(), &mut w);
         catalog.encode(&mut w);
         self.backup.take_snapshot(id, kind, replicated, blocks, &w.into_bytes())
     }
@@ -1636,122 +1470,56 @@ impl Cluster {
         snapshot_id: &str,
         hsm: Option<Arc<HsmSim>>,
     ) -> Result<Arc<Cluster>> {
-        let topology = ClusterTopology::new(config.nodes, config.slices_per_node)?;
-        let trace = Arc::new(TraceSink::from_env());
-        s3.set_trace(Arc::clone(&trace));
-        let retry = config.retry.with_seed(config.seed);
-        let mut rspan = trace.span(LVL_PHASE, "restore.open");
-        let mgr = BackupManager::new(Arc::clone(&s3), region, bucket, None, 4);
-        let (_kind, metadata, blocks) = mgr.load_manifest(region, snapshot_id)?;
-        if rspan.is_recording() {
-            rspan.attr("snapshot", snapshot_id);
-            rspan.attr("blocks", blocks.len());
-        }
-        let mut r = Reader::new(&metadata);
-        let encrypted = r.get_bool()?;
-        let (keyring, master_key, hsm_out) = if encrypted {
-            let hsm = hsm.ok_or_else(|| {
-                RsError::Crypto("encrypted snapshot requires the HSM holding its master key".into())
-            })?;
-            let master = KeyId(r.get_u64()?);
-            let wrapped = WrappedKey::from_bytes(r.get_bytes()?)?;
-            let keyring = Arc::new(ClusterKeyring::open(&hsm, master, wrapped)?);
-            let n = r.get_u32()? as usize;
-            let mut keys = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = r.get_u64()?;
-                let wk = WrappedKey::from_bytes(r.get_raw(28)?)?;
-                keys.push((id, wk));
+        Self::assemble(config, s3, |boot, _| {
+            let mut rspan = boot.trace.span(LVL_PHASE, "restore.open");
+            let mgr = BackupManager::new(Arc::clone(boot.s3), region, bucket, None, 4)
+                .with_retry(boot.retry);
+            let (_kind, metadata, blocks) = mgr.load_manifest(region, snapshot_id)?;
+            if rspan.is_recording() {
+                rspan.attr("snapshot", snapshot_id);
+                rspan.attr("blocks", blocks.len());
             }
-            keyring.import_block_keys(keys);
-            (Some(keyring), Some(master), Some(hsm))
-        } else {
-            (None, None, None)
-        };
-        let catalog = Catalog::decode(&mut r, &topology)?;
-        let restoring = Arc::new(
-            StreamingRestoreStore::open(Arc::clone(&s3), region, bucket, blocks)
-                .with_trace(Arc::clone(&trace))
-                .with_retry(retry),
-        );
-        rspan.finish(); // open for SQL: metadata + catalog only (§2.2)
-        let shared: Arc<dyn BlockStore> = match &keyring {
-            Some(k) => Arc::new(EncryptedBlockStore::new(
-                SharedStore(Arc::clone(&restoring)),
-                Arc::clone(k),
-                config.seed,
-            )),
-            None => Arc::new(SharedStore(Arc::clone(&restoring))),
-        };
-        let node_stores: Vec<Arc<dyn BlockStore>> =
-            (0..config.nodes).map(|_| Arc::clone(&shared)).collect();
-        let backup = BackupManager::new(
-            Arc::clone(&s3),
-            config.region.clone(),
-            config.name.clone(),
-            config.dr_region.clone(),
-            config.system_snapshot_retention,
-        )
-        .with_retry(retry);
-        let rng = Pcg32::seed_from_u64(config.seed);
-        let wlm = Arc::new(WlmController::new(&config.wlm, Arc::clone(&trace)));
-        let wal = Wal::new(Arc::clone(s3.faults()));
-        Ok(Arc::new(Cluster {
-            plan_cache: PlanCache::with_policy(
-                config.plan_cache_capacity,
-                config.compile_work_per_node,
-                config.plan_cache_eviction,
-            ),
-            topology,
-            s3,
-            replicated: None,
-            restoring: Some(restoring),
-            node_stores,
-            backup,
-            hsm: hsm_out,
-            master_key,
-            keyring,
-            catalog: RwLock::new(catalog),
-            state: RwLock::new(ClusterState::Available),
-            write_txn: Mutex::new(()),
-            data_lock: RwLock::new(()),
-            txn_seq: AtomicU64::new(0),
-            wal,
-            hard_crash: AtomicBool::new(false),
-            rng: Mutex::new(rng),
-            usage: UsageStats::default(),
-            loads_since_analyze: Mutex::new(redsim_common::FxHashMap::default()),
-            sessions: SessionManager::new(Arc::clone(&trace)),
-            result_cache: ResultCache::new(
-                config.result_cache_capacity,
-                config.result_cache_max_rows,
-            ),
-            catalog_version: std::sync::atomic::AtomicU64::new(0),
-            trace,
-            query_seq: std::sync::atomic::AtomicU64::new(0),
-            wlm,
-            config,
-        }))
+            let mut r = Reader::new(&metadata);
+            let keys = ClusterKeys::decode_envelope(&mut r, hsm)?;
+            let catalog = Catalog::decode(&mut r, boot.topology)?;
+            let restoring =
+                StreamingRestoreStore::open(Arc::clone(boot.s3), region, bucket, blocks)
+                    .with_trace(Arc::clone(boot.trace))
+                    .with_retry(boot.retry);
+            rspan.finish(); // open for SQL: metadata + catalog only (§2.2)
+            Ok(Durable {
+                storage: Storage::Restoring(Arc::new(restoring)),
+                keys,
+                catalog,
+                wal: Wal::new(Arc::clone(boot.s3.faults())),
+                txn_seq: 0,
+                loads_since_analyze: FxHashMap::default(),
+            })
+        })
     }
 
     /// Drive background hydration (restored clusters). Returns blocks
     /// fetched; 0 = complete.
     pub fn hydrate_step(&self, k: usize) -> Result<usize> {
-        match &self.restoring {
-            Some(r) => r.hydrate_step(k),
-            None => Ok(0),
-        }
+        self.restoring().map_or(Ok(0), |r| r.hydrate_step(k))
     }
 
     /// Fraction of a restore's blocks present locally (1.0 = done, and
     /// for normally-launched clusters).
     pub fn hydration_progress(&self) -> f64 {
-        self.restoring.as_ref().map_or(1.0, |r| r.hydration_progress())
+        self.restoring().map_or(1.0, |r| r.hydration_progress())
     }
 
     /// Page faults served during/after restore.
     pub fn restore_page_faults(&self) -> u64 {
-        self.restoring.as_ref().map_or(0, |r| r.page_fault_count())
+        self.restoring().map_or(0, |r| r.page_fault_count())
+    }
+
+    fn restoring(&self) -> Option<&StreamingRestoreStore> {
+        match &self.storage {
+            Storage::Restoring(r) => Some(r),
+            Storage::Replicated(_) => None,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1804,50 +1572,8 @@ impl Cluster {
         let target = Cluster::launch_with_s3(cfg, Arc::clone(&self.s3))?;
         let catalog = self.catalog.read();
         for entry in catalog.tables() {
-            // Recreate the table on the target.
-            let new_entry = TableEntry::new(
-                entry.name.clone(),
-                entry.schema.clone(),
-                entry.dist_style.clone(),
-                entry.sort_key.clone(),
-                &target.topology,
-                target.config.rows_per_group,
-            )?;
+            let new_entry = self.rebuild_table(entry, &target, entry.dist_style.clone())?;
             target.catalog.write().create(Arc::clone(&new_entry))?;
-            // Node-to-node parallel copy: every source slice streams its
-            // batches; the router redistributes for the new topology.
-            // ALL tables copy from one slice (the target re-duplicates).
-            let src_slices: Vec<usize> = if matches!(entry.dist_style, DistStyle::All) {
-                vec![0]
-            } else {
-                (0..entry.slices.len()).collect()
-            };
-            let all_cols: Vec<usize> = (0..entry.schema.len()).collect();
-            let scans: Vec<Result<ScanOutput>> = parallel_map(src_slices, |slice| {
-                entry.slices[slice].lock().scan(
-                    self.store_for_slice(slice).as_ref(),
-                    &all_cols,
-                    None,
-                )
-            });
-            for scan in scans {
-                for batch in scan?.batches {
-                    target.append_distributed(&new_entry, batch, false)?;
-                }
-            }
-            let flushes: Vec<Result<()>> = parallel_map(
-                (0..new_entry.slices.len()).collect(),
-                |slice| {
-                    new_entry.slices[slice]
-                        .lock()
-                        .flush(target.store_for_slice(slice).as_ref())
-                },
-            );
-            for f in flushes {
-                f?;
-            }
-            *new_entry.rows_estimate.write() = *entry.rows_estimate.read();
-            *new_entry.stats.write() = entry.stats.read().clone();
             // Make the copied data visible to the target's MVCC readers.
             new_entry.publish(0);
         }
@@ -1855,6 +1581,44 @@ impl Cluster {
         // recovers the migrated data rather than an empty catalog.
         target.checkpoint_now();
         Ok(target)
+    }
+
+    /// Copy `entry` into a new, uninstalled table on `target` (which may
+    /// be this cluster): every source slice streams its batches and the
+    /// router redistributes them. ALL tables copy from one slice (the
+    /// target re-duplicates).
+    fn rebuild_table(
+        &self,
+        entry: &TableEntry,
+        target: &Cluster,
+        dist: DistStyle,
+    ) -> Result<Arc<TableEntry>> {
+        let new_entry = TableEntry::new(
+            entry.name.clone(),
+            entry.schema.clone(),
+            dist,
+            entry.sort_key.clone(),
+            &target.topology,
+            target.config.rows_per_group,
+        )?;
+        let replicated = matches!(entry.dist_style, DistStyle::All);
+        let src_slices = if replicated { 1 } else { entry.slices.len() };
+        let all_cols: Vec<usize> = (0..entry.schema.len()).collect();
+        let scans: Vec<Result<ScanOutput>> = par::map_indexed(src_slices, |slice| {
+            entry.slices[slice].lock().scan(self.store_for_slice(slice).as_ref(), &all_cols, None)
+        });
+        for scan in scans.into_iter().collect::<Result<Vec<_>>>()? {
+            for batch in scan.batches {
+                target.append_distributed(&new_entry, batch, false)?;
+            }
+        }
+        let flushes: Vec<Result<()>> = par::map_indexed(new_entry.slices.len(), |slice| {
+            new_entry.slices[slice].lock().flush(target.store_for_slice(slice).as_ref())
+        });
+        flushes.into_iter().collect::<Result<()>>()?;
+        *new_entry.rows_estimate.write() = *entry.rows_estimate.read();
+        *new_entry.stats.write() = entry.stats.read().clone();
+        Ok(new_entry)
     }
 
     // ------------------------------------------------------------------
@@ -1886,12 +1650,7 @@ impl Cluster {
                         && (unsorted as f64 / total as f64) > policy.vacuum_unsorted_fraction;
                     let analyzed_rows =
                         t.stats.read().as_ref().map(|s| s.rows).unwrap_or(0);
-                    let fresh_loads = self
-                        .loads_since_analyze
-                        .lock()
-                        .get(&t.name.to_ascii_lowercase())
-                        .copied()
-                        .unwrap_or(0);
+                    let fresh_loads = self.loads_since_analyze(&t.name);
                     let needs_analyze = fresh_loads > 0
                         && (analyzed_rows == 0
                             || (fresh_loads as f64 / analyzed_rows as f64)
@@ -1943,47 +1702,19 @@ impl Cluster {
         self.check_writable()?;
         let txn = self.begin_write_txn(WriteScope::Exclusive)?;
         let catalog = self.catalog.read();
-        let entry = catalog
-            .get(table)
-            .ok_or_else(|| RsError::NotFound(format!("relation {table:?}")))?;
+        let entry = catalog.require(table)?;
         if matches!(entry.dist_style, DistStyle::All) {
             return Ok(());
         }
         // Read every row, rebuild under ALL, swap into the catalog.
-        let all_cols: Vec<usize> = (0..entry.schema.len()).collect();
-        let mut batches = Vec::new();
-        for (slice, st) in entry.slices.iter().enumerate() {
-            let out = st.lock().scan(self.store_for_slice(slice).as_ref(), &all_cols, None)?;
-            batches.extend(out.batches);
-        }
-        let new_entry = TableEntry::new(
-            entry.name.clone(),
-            entry.schema.clone(),
-            DistStyle::All,
-            entry.sort_key.clone(),
-            &self.topology,
-            self.config.rows_per_group,
-        )?;
-        for batch in batches {
-            let per_slice = new_entry.router.lock().route(&batch)?;
-            for (slice, cols) in per_slice.into_iter().enumerate() {
-                new_entry.slices[slice]
-                    .lock()
-                    .append(&cols, self.store_for_slice(slice).as_ref())?;
-            }
-        }
-        for (slice, st) in new_entry.slices.iter().enumerate() {
-            let store = self.store_for_slice(slice);
-            let mut t = st.lock();
-            t.flush(store.as_ref())?;
+        let new_entry = self.rebuild_table(&entry, self, DistStyle::All)?;
+        if !matches!(new_entry.sort_key, SortKeySpec::None) {
             // Preserve sortedness: the rebuild appended into the unsorted
             // region; re-sort so zone maps keep working.
-            if !matches!(t.sort_key(), SortKeySpec::None) {
-                t.vacuum(store.as_ref())?;
+            for (slice, st) in new_entry.slices.iter().enumerate() {
+                st.lock().vacuum(self.store_for_slice(slice).as_ref())?;
             }
         }
-        *new_entry.rows_estimate.write() = *entry.rows_estimate.read();
-        *new_entry.stats.write() = entry.stats.read().clone();
         // Swap in the ALL layout, make it durable, and only then free
         // the old layout's blocks (deferred deletion — a crash on either
         // side of the commit mark leaves one complete block set; the
@@ -2057,21 +1788,13 @@ impl Cluster {
 
     /// Rotate the cluster key (re-wraps block keys only; §3.2).
     pub fn rotate_cluster_key(&self) -> Result<()> {
-        let (keyring, hsm) = match (&self.keyring, &self.hsm) {
-            (Some(k), Some(h)) => (k, h),
-            _ => return Err(RsError::Crypto("cluster is not encrypted".into())),
+        let Some(ClusterKeys { keyring, hsm, .. }) = &self.keys else {
+            return Err(RsError::Crypto("cluster is not encrypted".into()));
         };
+        // The exclusive write txn serializes all key users; the keyring
+        // rotates through interior mutability.
         let _txn = self.begin_write_txn(WriteScope::Exclusive)?;
-        // Arc<ClusterKeyring> needs interior rotation; ClusterKeyring's
-        // rotate takes &mut self, so rebuild via clone-free trick: the
-        // keyring's lock-based internals allow rotation through a mutable
-        // reference obtained exclusively here.
-        let k = Arc::clone(keyring);
-        // Safety of logic (not memory): the write txn lock serializes all
-        // key users; we only have shared refs, so rotation is implemented
-        // on ClusterKeyring via interior mutability helpers.
-        let mut rng = self.rng.lock();
-        k.rotate_cluster_key(hsm, &mut *rng)
+        keyring.rotate_cluster_key(hsm, &mut *self.rng.lock())
     }
 
     // ------------------------------------------------------------------
@@ -2094,11 +1817,7 @@ impl Cluster {
     /// decommissioned (every statement on it now fails); feed the image
     /// to [`Cluster::recover`].
     pub fn crash(&self) -> Result<CrashImage> {
-        let replicated = Arc::clone(self.replicated.as_ref().ok_or_else(|| {
-            RsError::InvalidState(
-                "crash/recover requires a fully-hydrated cluster (restore in progress)".into(),
-            )
-        })?);
+        let replicated = Arc::clone(self.require_replicated()?);
         self.arm_hard_crash();
         *self.state.write() = ClusterState::Decommissioned;
         Ok(CrashImage {
@@ -2106,9 +1825,7 @@ impl Cluster {
             s3: Arc::clone(&self.s3),
             replicated,
             wal: self.wal.durable_bytes(),
-            hsm: self.hsm.clone(),
-            master_key: self.master_key,
-            keyring: self.keyring.clone(),
+            keys: self.keys.clone(),
         })
     }
 
@@ -2119,169 +1836,47 @@ impl Cluster {
     /// log. Uncommitted writes — anything without a commit mark in the
     /// durable prefix — are invisible afterwards.
     pub fn recover(image: CrashImage) -> Result<Arc<Cluster>> {
-        let CrashImage { config, s3, replicated, wal: durable, hsm, master_key, keyring } = image;
-        let topology = ClusterTopology::new(config.nodes, config.slices_per_node)?;
-        let trace = Arc::new(TraceSink::from_env());
-        s3.set_trace(Arc::clone(&trace));
-        replicated.set_trace(Arc::clone(&trace));
-        let retry = config.retry.with_seed(config.seed);
-        replicated.set_retry_policy(retry);
-        let mut rspan = trace.span(LVL_PHASE, "recovery");
-        let node_stores: Vec<Arc<dyn BlockStore>> = (0..config.nodes)
-            .map(|n| {
-                let ns = replicated.node_store(NodeId(n));
-                match &keyring {
-                    Some(k) => Arc::new(EncryptedBlockStore::new(
-                        ns,
-                        Arc::clone(k),
-                        config.seed ^ (n as u64 + 1),
-                    )) as Arc<dyn BlockStore>,
-                    None => Arc::new(ns) as Arc<dyn BlockStore>,
+        let CrashImage { config, s3, replicated, wal: durable, keys } = image;
+        let cluster = Self::assemble(config, s3, |boot, _| {
+            let mut rspan = boot.trace.span(LVL_PHASE, "recovery");
+            let log = wal::replay(&durable)?;
+            let (catalog, txn_seq, loads_since_analyze) = replay_wal(&log, boot.topology)?;
+            let replayed = log.deltas.len() as u64;
+            // Orphan scrub: any placed block no recovered manifest
+            // references was written by an uncommitted statement (or
+            // superseded by a committed rewrite whose deferred deletion
+            // never ran). Delete it everywhere — committed state never
+            // references it again.
+            let mut referenced = std::collections::BTreeSet::new();
+            for t in catalog.tables() {
+                for s in &t.slices {
+                    referenced.extend(s.lock().block_ids().into_iter().map(|id| id.0));
                 }
+            }
+            let scrub_store = replicated.node_store(NodeId(0));
+            let mut scrubbed = 0u64;
+            for id in replicated.placed_block_ids() {
+                if !referenced.contains(&id.0) {
+                    scrub_store.delete(id);
+                    scrubbed += 1;
+                }
+            }
+            boot.trace.counter("recovery.orphan_blocks_scrubbed").add(scrubbed);
+            boot.trace.counter("recovery.replayed_deltas").add(replayed);
+            if rspan.is_recording() {
+                rspan.attr("replayed_deltas", replayed);
+                rspan.attr("orphan_blocks_scrubbed", scrubbed);
+            }
+            rspan.finish();
+            Ok(Durable {
+                storage: Storage::Replicated(replicated),
+                keys,
+                catalog,
+                wal: Wal::from_durable(durable, Arc::clone(boot.s3.faults())),
+                txn_seq,
+                loads_since_analyze,
             })
-            .collect();
-        // Replay: last committed checkpoint seeds the catalog, committed
-        // deltas after it overwrite per-table state in log order.
-        let replay = wal::replay(&durable)?;
-        let mut max_txn = 0u64;
-        let mut loads = redsim_common::FxHashMap::default();
-        let catalog = match &replay.checkpoint {
-            Some((txn, payload)) => {
-                max_txn = max_txn.max(*txn);
-                let mut r = Reader::new(payload);
-                let catalog = Catalog::decode(&mut r, &topology)?;
-                // Extras `Catalog::encode` omits: router cursor,
-                // optimizer stats, loads-since-analyze.
-                let n = r.get_u32()? as usize;
-                for _ in 0..n {
-                    let name = r.get_str()?;
-                    let cursor = r.get_u32()?;
-                    let stats =
-                        if r.get_bool()? { Some(TableStats::decode(&mut r)?) } else { None };
-                    let table_loads = r.get_u64()?;
-                    let entry = catalog.get(&name).ok_or_else(|| {
-                        RsError::InvalidState(format!(
-                            "redo checkpoint extras reference unknown table {name:?}"
-                        ))
-                    })?;
-                    entry.router.lock().set_cursor(cursor);
-                    *entry.stats.write() = stats;
-                    if table_loads > 0 {
-                        loads.insert(name.to_ascii_lowercase(), table_loads);
-                    }
-                }
-                catalog
-            }
-            None => Catalog::new(),
-        };
-        let mut replayed = 0u64;
-        for (txn, payload) in &replay.deltas {
-            max_txn = max_txn.max(*txn);
-            let mut r = Reader::new(payload);
-            let name = r.get_str()?;
-            let rows_estimate = r.get_u64()?;
-            let cursor = r.get_u32()?;
-            let stats = if r.get_bool()? { Some(TableStats::decode(&mut r)?) } else { None };
-            let table_loads = r.get_u64()?;
-            let n_slices = r.get_u32()? as usize;
-            let entry = catalog.get(&name).ok_or_else(|| {
-                RsError::InvalidState(format!("redo delta references unknown table {name:?}"))
-            })?;
-            if n_slices != entry.slices.len() {
-                return Err(RsError::InvalidState(format!(
-                    "redo delta for {name:?} carries {n_slices} slices, table has {}",
-                    entry.slices.len()
-                )));
-            }
-            for slice in &entry.slices {
-                *slice.lock() = SliceTable::decode_meta(&mut r)?;
-            }
-            entry.router.lock().set_cursor(cursor);
-            *entry.rows_estimate.write() = rows_estimate;
-            *entry.stats.write() = stats;
-            let key = name.to_ascii_lowercase();
-            if table_loads > 0 {
-                loads.insert(key, table_loads);
-            } else {
-                loads.remove(&key);
-            }
-            entry.publish(*txn);
-            replayed += 1;
-        }
-        // Orphan scrub: any placed block no recovered manifest references
-        // was written by an uncommitted statement (or superseded by a
-        // committed rewrite whose deferred deletion never ran). Delete it
-        // everywhere — committed state never references it again.
-        let mut referenced = std::collections::BTreeSet::new();
-        for t in catalog.tables() {
-            for s in &t.slices {
-                for id in s.lock().block_ids() {
-                    referenced.insert(id.0);
-                }
-            }
-        }
-        let scrub_store = replicated.node_store(NodeId(0));
-        let mut scrubbed = 0u64;
-        for id in replicated.placed_block_ids() {
-            if !referenced.contains(&id.0) {
-                scrub_store.delete(id);
-                scrubbed += 1;
-            }
-        }
-        trace.counter("recovery.orphan_blocks_scrubbed").add(scrubbed);
-        trace.counter("recovery.replayed_deltas").add(replayed);
-        if rspan.is_recording() {
-            rspan.attr("replayed_deltas", replayed);
-            rspan.attr("orphan_blocks_scrubbed", scrubbed);
-        }
-        rspan.finish();
-        let backup = BackupManager::new(
-            Arc::clone(&s3),
-            config.region.clone(),
-            config.name.clone(),
-            config.dr_region.clone(),
-            config.system_snapshot_retention,
-        )
-        .with_retry(retry);
-        let wlm = Arc::new(WlmController::new(&config.wlm, Arc::clone(&trace)));
-        let rng = Pcg32::seed_from_u64(config.seed);
-        let wal = Wal::from_durable(durable, Arc::clone(s3.faults()));
-        let cluster = Arc::new(Cluster {
-            plan_cache: PlanCache::with_policy(
-                config.plan_cache_capacity,
-                config.compile_work_per_node,
-                config.plan_cache_eviction,
-            ),
-            topology,
-            s3,
-            replicated: Some(replicated),
-            restoring: None,
-            node_stores,
-            backup,
-            hsm,
-            master_key,
-            keyring,
-            catalog: RwLock::new(catalog),
-            state: RwLock::new(ClusterState::Available),
-            write_txn: Mutex::new(()),
-            data_lock: RwLock::new(()),
-            txn_seq: AtomicU64::new(max_txn),
-            wal,
-            hard_crash: AtomicBool::new(false),
-            rng: Mutex::new(rng),
-            usage: UsageStats::default(),
-            loads_since_analyze: Mutex::new(loads),
-            sessions: SessionManager::new(Arc::clone(&trace)),
-            result_cache: ResultCache::new(
-                config.result_cache_capacity,
-                config.result_cache_max_rows,
-            ),
-            catalog_version: std::sync::atomic::AtomicU64::new(0),
-            trace,
-            query_seq: std::sync::atomic::AtomicU64::new(0),
-            wlm,
-            config,
-        });
+        })?;
         // Compact: fold the replayed state into one fresh checkpoint so
         // repeated crash/recover cycles don't replay an ever-longer log.
         // Best-effort — on failure the old (still-correct) log remains.
@@ -2310,9 +1905,7 @@ pub struct CrashImage {
     s3: Arc<S3Sim>,
     replicated: Arc<ReplicatedStore>,
     wal: Vec<u8>,
-    hsm: Option<Arc<HsmSim>>,
-    master_key: Option<KeyId>,
-    keyring: Option<Arc<ClusterKeyring>>,
+    keys: Option<ClusterKeys>,
 }
 
 impl CrashImage {
@@ -2322,56 +1915,398 @@ impl CrashImage {
     }
 }
 
-/// Newtype so a shared `Arc<StreamingRestoreStore>` can be used where a
-/// value implementing `BlockStore` is needed.
-struct SharedStore(Arc<StreamingRestoreStore>);
+/// Replay a durable redo-log prefix into the catalog, the highest
+/// transaction id, and the loads-since-ANALYZE map: the last committed
+/// checkpoint seeds the catalog, then committed deltas after it overwrite
+/// per-table state in log order.
+fn replay_wal(
+    log: &wal::Replay,
+    topology: &ClusterTopology,
+) -> Result<(Catalog, u64, FxHashMap<String, u64>)> {
+    let mut max_txn = 0u64;
+    let mut loads = FxHashMap::default();
+    let catalog = match &log.checkpoint {
+        Some((txn, payload)) => {
+            max_txn = *txn;
+            let mut r = Reader::new(payload);
+            let catalog = Catalog::decode(&mut r, topology)?;
+            let n = r.get_u32()? as usize;
+            for _ in 0..n {
+                let name = r.get_str()?;
+                let extras = TableExtras::decode(&mut r)?;
+                let entry = catalog.get(&name).ok_or_else(|| {
+                    RsError::InvalidState(format!(
+                        "redo checkpoint extras reference unknown table {name:?}"
+                    ))
+                })?;
+                extras.apply(&entry, &mut loads);
+            }
+            catalog
+        }
+        None => Catalog::new(),
+    };
+    for (txn, payload) in &log.deltas {
+        max_txn = max_txn.max(*txn);
+        let mut r = Reader::new(payload);
+        let name = r.get_str()?;
+        let rows_estimate = r.get_u64()?;
+        let extras = TableExtras::decode(&mut r)?;
+        let n_slices = r.get_u32()? as usize;
+        let entry = catalog.get(&name).ok_or_else(|| {
+            RsError::InvalidState(format!("redo delta references unknown table {name:?}"))
+        })?;
+        if n_slices != entry.slices.len() {
+            return Err(RsError::InvalidState(format!(
+                "redo delta for {name:?} carries {n_slices} slices, table has {}",
+                entry.slices.len()
+            )));
+        }
+        for slice in &entry.slices {
+            *slice.lock() = SliceTable::decode_meta(&mut r)?;
+        }
+        *entry.rows_estimate.write() = rows_estimate;
+        extras.apply(&entry, &mut loads);
+        entry.publish(*txn);
+    }
+    Ok((catalog, max_txn, loads))
+}
 
-impl BlockStore for SharedStore {
-    fn put(&self, block: redsim_storage::EncodedBlock) -> Result<()> {
-        self.0.put(block)
+/// The per-table state [`Catalog::encode`] omits, as both redo record
+/// kinds carry it (written by [`Cluster::encode_table_extras`]).
+struct TableExtras {
+    cursor: u32,
+    stats: Option<TableStats>,
+    loads: u64,
+}
+
+impl TableExtras {
+    fn decode(r: &mut Reader) -> Result<TableExtras> {
+        let cursor = r.get_u32()?;
+        let stats = if r.get_bool()? { Some(TableStats::decode(r)?) } else { None };
+        Ok(TableExtras { cursor, stats, loads: r.get_u64()? })
     }
 
-    fn get(&self, id: redsim_storage::BlockId) -> Result<Arc<redsim_storage::EncodedBlock>> {
-        self.0.get(id)
-    }
-
-    fn delete(&self, id: redsim_storage::BlockId) {
-        self.0.delete(id)
-    }
-
-    fn contains(&self, id: redsim_storage::BlockId) -> bool {
-        self.0.contains(id)
-    }
-
-    fn block_count(&self) -> usize {
-        self.0.block_count()
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.0.total_bytes()
+    fn apply(self, entry: &TableEntry, loads: &mut FxHashMap<String, u64>) {
+        entry.router.lock().set_cursor(self.cursor);
+        *entry.stats.write() = self.stats;
+        set_loads(loads, &entry.name, Some(self.loads).filter(|&n| n > 0));
     }
 }
 
-/// Capture the committed [`TableVersion`] of every referenced user
-/// table at one point in time: the statement's MVCC read snapshot.
-/// Unknown names are skipped — binding reports them as missing.
-fn snapshot_tables(catalog: &Catalog, refs: &[&str]) -> FxHashMap<String, Arc<TableVersion>> {
-    refs.iter()
-        .filter_map(|t| catalog.get(t).map(|e| (t.to_ascii_lowercase(), e.snapshot())))
-        .collect()
+/// Set `table`'s loads-since-ANALYZE entry; `None` removes it.
+fn set_loads(loads: &mut FxHashMap<String, u64>, table: &str, n: Option<u64>) {
+    let key = table.to_ascii_lowercase();
+    match n {
+        Some(n) => loads.insert(key, n),
+        None => loads.remove(&key),
+    };
+}
+
+/// One SELECT on its way through [`Cluster::run_select`]'s stages. Field
+/// order is drop order: the `stl_query` span closes before the slot frees.
+struct SelectRun<'a> {
+    cluster: &'a Cluster,
+    sql: &'a str,
+    ctx: &'a SessionCtx,
+    mode: SelectMode,
+    /// Root span of the `stl_query` row; disabled for EXPLAIN.
+    qspan: Span,
+    /// The service-class slot; `None` for EXPLAIN and result-cache hits.
+    wlm: Option<WlmGuard>,
+}
+
+impl<'a> SelectRun<'a> {
+    /// Stage 3, WLM admission (§2.1): hold a service-class slot before
+    /// taking any data lock, so a queued query starves neither writers nor
+    /// the queries already running. EXPLAIN and EXPLAIN ANALYZE are
+    /// diagnostics: they bypass admission (so monitoring rules, abort
+    /// included, never fire on them) and are not logged, as the real
+    /// STL_QUERY records executed queries only. System-table reads bypass
+    /// it too, so queue state stays observable when every slot is busy.
+    fn admit(
+        cluster: &'a Cluster,
+        sql: &'a str,
+        ctx: &'a SessionCtx,
+        mode: SelectMode,
+        refs: &[&str],
+        parse_ns: u64,
+    ) -> Result<Self> {
+        let (wlm, qspan) = if mode == SelectMode::Execute {
+            let cost = cluster.estimate_cost(refs);
+            let wlm = cluster.wlm.admit(cost, ctx.user_group.as_deref())?;
+            // Root span for stl_query: LVL_CORE records even at RSIM_TRACE=0.
+            (Some(wlm), cluster.trace.span(LVL_CORE, "query"))
+        } else {
+            (None, Span::disabled())
+        };
+        let run = SelectRun { cluster, sql, ctx, mode, qspan, wlm };
+        run.qspan.child_completed(LVL_PHASE, "query.parse", parse_ns, &[]);
+        if run.queue_wait_ns() > 0 {
+            run.qspan.child_completed(LVL_PHASE, "wlm.wait", run.queue_wait_ns(), &[]);
+        }
+        Ok(run)
+    }
+
+    fn queue_wait_ns(&self) -> u64 {
+        self.wlm.as_ref().map_or(0, |g| g.queue_wait_ns())
+    }
+
+    /// Stage 4: bind and optimize against the snapshot's catalog.
+    fn plan(&self, snap: &ReadSnapshot, sel: &ast::Select) -> Result<(LogicalPlan, String)> {
+        let pspan = self.qspan.child(LVL_PHASE, "query.plan");
+        let plan = plan_select(&snap.planner_catalog(), sel)?;
+        let plan_text = plan.explain();
+        pspan.finish();
+        self.cluster.usage.record_feature(self.mode.name());
+        self.cluster.usage.record_plan_shape(autonomics::plan_shape(&plan_text));
+        Ok((plan, plan_text))
+    }
+
+    /// Stage 5: compile through the plan cache; `(plan, hit, ns)`.
+    fn compile(&self, plan: LogicalPlan) -> (Arc<CompiledQuery>, bool, u64) {
+        let plan_cache = &self.cluster.plan_cache;
+        let mut cspan = self.qspan.child(LVL_PHASE, "query.compile");
+        let (hits_before, _) = plan_cache.stats();
+        let t0 = std::time::Instant::now();
+        let compiled = plan_cache.get_or_compile(plan);
+        let compile_ns = t0.elapsed().as_nanos() as u64;
+        let cache_hit = plan_cache.stats().0 > hits_before;
+        let counter = if cache_hit { "plan_cache.hits" } else { "plan_cache.misses" };
+        self.cluster.trace.counter(counter).incr();
+        cspan.attr("cache", if cache_hit { "hit" } else { "miss" });
+        cspan.finish();
+        (compiled, cache_hit, compile_ns)
+    }
+
+    /// Stage 6. Per-step profiling feeds `svl_query_report`; EXPLAIN
+    /// ANALYZE needs it regardless of the cluster-wide setting.
+    fn execute(&self, snap: &ReadSnapshot, plan: &LogicalPlan) -> Result<QueryOutput> {
+        let cluster = self.cluster;
+        let mut espan = self.qspan.child(LVL_PHASE, "query.exec");
+        let profiling = self.mode == SelectMode::ExplainAnalyze
+            || (self.mode == SelectMode::Execute && cluster.config.profile_queries);
+        let t_exec = std::time::Instant::now();
+        let mut out = Executor::new(snap)
+            .with_trace(&espan)
+            .with_profiling(profiling)
+            .with_faults(Arc::clone(cluster.faults()))
+            .run(plan)?;
+        out.metrics.exec_ns = t_exec.elapsed().as_nanos() as u64;
+        if espan.is_recording() {
+            espan.attr("slices", cluster.topology.total_slices());
+            espan.attr("rows_out", out.rows.len());
+        }
+        espan.finish();
+        Ok(out)
+    }
+
+    /// A fresh `stl_query` id when this SELECT is logged, else 0.
+    fn next_query_id(&self) -> u64 {
+        if self.qspan.is_recording() {
+            self.cluster.query_seq.fetch_add(1, Ordering::Relaxed) + 1
+        } else {
+            0
+        }
+    }
+
+    /// Stage 7, query-monitoring rules: evaluated on the leader while the
+    /// slot is still held, against the final execution metrics. A hop
+    /// re-homes the slot; an abort releases it and fails the query after
+    /// writing its aborted `stl_query` row (results are discarded
+    /// leader-side — compute work is already sunk, as in the real QMR).
+    fn monitor(&mut self, qid: u64, m: &ExecMetrics, plan: &LogicalPlan) -> Result<()> {
+        let Some(guard) = self.wlm.as_mut() else {
+            return Ok(());
+        };
+        let stats = QmrStats {
+            exec_ns: m.exec_ns,
+            queue_ns: m.queue_wait_ns,
+            rows_scanned: m.rows_scanned,
+            bytes_scanned: m.bytes_read,
+            nested_loop_join: plan_has_residual_join(plan),
+        };
+        let verdict = guard.evaluate_rules(&stats);
+        if verdict.is_err() {
+            self.record(qid, 0, |q, _| q.attr("aborted", true), None);
+        }
+        verdict
+    }
+
+    /// Stage 8, for an executed SELECT.
+    fn record_executed(
+        &mut self,
+        qid: u64,
+        out: &QueryOutput,
+        cache_hit: bool,
+        cacheable: bool,
+        plan_text: &str,
+    ) {
+        let trace = &self.cluster.trace;
+        // Per-step report rows ride the trace as standalone spans so the
+        // existing retention machinery bounds them like everything else.
+        for s in &out.profile {
+            trace.span_completed(
+                LVL_CORE,
+                "profile.step",
+                s.elapsed_ns,
+                &[
+                    ("query", AttrValue::I64(qid as i64)),
+                    ("step", AttrValue::U64(s.step as u64)),
+                    ("slice", AttrValue::U64(s.slice as u64)),
+                    ("label", AttrValue::Str(s.label.clone())),
+                    ("rows", AttrValue::U64(s.rows)),
+                    ("bytes", AttrValue::U64(s.bytes)),
+                ],
+            );
+        }
+        let m = &out.metrics;
+        trace.histogram("query.exec_ns").record(m.exec_ns);
+        let metrics = |q: &mut Span, wlm: Option<&WlmGuard>| {
+            q.attr("compile_cache", if cache_hit { "hit" } else { "miss" });
+            q.attr("compile_ns", m.compile_ns);
+            q.attr("exec_ns", m.exec_ns);
+            q.attr("rows_scanned", m.rows_scanned);
+            q.attr("blocks_read", m.blocks_read);
+            q.attr("bytes_read", m.bytes_read);
+            q.attr("bytes_broadcast", m.bytes_broadcast);
+            q.attr("bytes_redistributed", m.bytes_redistributed);
+            q.attr("groups_total", m.groups_total);
+            q.attr("groups_skipped", m.groups_skipped);
+            q.attr("queue_wait_us", m.queue_wait_ns / 1_000);
+            if let Some(g) = wlm {
+                q.attr("service_class", g.service_class());
+            }
+        };
+        let result_cache = if cacheable { "miss" } else { "off" };
+        self.record(qid, out.rows.len(), metrics, Some((result_cache, plan_text)));
+    }
+
+    /// The one `stl_query` recorder (executed, QMR-aborted, cache hit):
+    /// `outcome` adds that path's own columns; `cache` is the
+    /// `(result_cache, plan)` pair every path but an abort carries.
+    fn record(
+        &mut self,
+        qid: u64,
+        rows: usize,
+        outcome: impl FnOnce(&mut Span, Option<&WlmGuard>),
+        cache: Option<(&str, &str)>,
+    ) {
+        let SelectRun { sql, ctx, qspan: q, wlm, .. } = self;
+        if !q.is_recording() {
+            return;
+        }
+        q.attr("query", qid);
+        q.attr("querytxt", *sql);
+        q.attr("rows", rows);
+        outcome(q, wlm.as_ref());
+        q.attr("userid", ctx.userid);
+        q.attr("session", ctx.session_id);
+        if let Some((result_cache, plan)) = cache {
+            q.attr("result_cache", result_cache);
+            q.attr("plan", plan);
+        }
+    }
+}
+
+/// A statement's MVCC read point (see [`Cluster::read_snapshot`]).
+struct ReadSnapshot<'a> {
+    cluster: &'a Cluster,
+    _storage: RwLockReadGuard<'a, ()>,
+    catalog: RwLockReadGuard<'a, Catalog>,
+    catalog_version: u64,
+    tables: FxHashMap<String, Arc<TableVersion>>,
+}
+
+impl ReadSnapshot<'_> {
+    fn planner_catalog(&self) -> PlannerCatalog<'_> {
+        let total_slices = self.cluster.topology.total_slices();
+        PlannerCatalog { catalog: &self.catalog, total_slices }
+    }
+
+    /// `table`'s version, and whether it is DISTSTYLE ALL (each slice
+    /// holds a full copy, so only slice 0 scans).
+    fn table(&self, table: &str) -> Result<(&TableVersion, bool)> {
+        let entry = self.catalog.require(table)?;
+        let version = self
+            .tables
+            .get(&table.to_ascii_lowercase())
+            .ok_or_else(|| RsError::NotFound(format!("relation {table:?}")))?;
+        Ok((version, matches!(entry.dist_style, DistStyle::All)))
+    }
+}
+
+/// Parse `sql`, timing it for the `query.parse` span.
+fn timed_parse(sql: &str) -> Result<(Statement, u64)> {
+    let t = std::time::Instant::now();
+    let stmt = redsim_sql::parse(sql)?;
+    Ok((stmt, t.elapsed().as_nanos() as u64))
+}
+
+/// Stage 1, routing: system tables run leader-local against the
+/// telemetry sink (and are not themselves recorded).
+fn reads_system_tables(refs: &[&str]) -> Result<bool> {
+    if !refs.iter().any(|t| systables::is_system_table(t)) {
+        return Ok(false);
+    }
+    if !refs.iter().all(|t| systables::is_system_table(t)) {
+        return Err(RsError::Unsupported(
+            "joining system tables with user tables is not supported".into(),
+        ));
+    }
+    Ok(true)
+}
+
+/// Bind and optimize: the one planner entry for every SELECT path.
+fn plan_select(catalog: &dyn CatalogView, sel: &ast::Select) -> Result<LogicalPlan> {
+    let bound = Binder::new(catalog).bind_select(sel)?;
+    Ok(optimizer::optimize(bound, catalog))
+}
+
+/// EXPLAIN ANALYZE's `(rows, ns)` per step (index `i` is step `i + 1`):
+/// rows sum across slices; elapsed is inclusive wall time, so the max.
+fn step_actuals(profile: &[StepProfile], n_steps: usize) -> Vec<(u64, u64)> {
+    let mut steps = vec![(0u64, 0u64); n_steps];
+    for s in profile {
+        if let Some((rows, ns)) = s.step.checked_sub(1).and_then(|i| steps.get_mut(i)) {
+            *rows += s.rows;
+            *ns = (*ns).max(s.elapsed_ns);
+        }
+    }
+    steps
+}
+
+/// The one `QUERY PLAN` renderer; `actuals` annotates EXPLAIN ANALYZE.
+fn explain_result(
+    plan: String,
+    actuals: Option<&[(u64, u64)]>,
+    metrics: ExecMetrics,
+    cache_hit: bool,
+) -> QueryResult {
+    let line_row = |(i, line): (usize, &str)| {
+        let text = match actuals {
+            None => line.to_string(),
+            Some(a) => {
+                let (rows, ns) = a.get(i).copied().unwrap_or((0, 0));
+                format!("{line} (actual rows={rows} time={:.3}ms)", ns as f64 / 1e6)
+            }
+        };
+        Row::new(vec![Value::Str(text)])
+    };
+    QueryResult {
+        columns: vec![OutCol { name: "QUERY PLAN".into(), ty: DataType::Varchar }],
+        rows: plan.lines().enumerate().map(line_row).collect(),
+        metrics,
+        plan,
+        cache_hit,
+        result_cache_hit: false,
+    }
 }
 
 /// The compute fabric: executes scans against the statement's MVCC
 /// snapshot. Scans never touch the live slice tables, so a concurrent
 /// writer's uncommitted (or newly committed) state is invisible to a
 /// query that has already started.
-struct ComputeFabric<'a> {
-    cluster: &'a Cluster,
-    catalog: &'a Catalog,
-    snapshots: FxHashMap<String, Arc<TableVersion>>,
-}
-
-impl TableProvider for ComputeFabric<'_> {
+impl TableProvider for ReadSnapshot<'_> {
     fn num_slices(&self) -> usize {
         self.cluster.topology.total_slices() as usize
     }
@@ -2383,48 +2318,23 @@ impl TableProvider for ComputeFabric<'_> {
         projection: &[usize],
         pred: &ScanPredicate,
     ) -> Result<ScanOutput> {
-        let entry = self
-            .catalog
-            .get(table)
-            .ok_or_else(|| RsError::NotFound(format!("relation {table:?}")))?;
-        // ALL tables: only slice 0 scans (avoids N× duplicate rows).
-        if matches!(entry.dist_style, DistStyle::All) && slice != 0 {
+        let (version, replicated) = self.table(table)?;
+        if replicated && slice != 0 {
             return Ok(ScanOutput::default());
         }
-        let version = self
-            .snapshots
-            .get(&table.to_ascii_lowercase())
-            .ok_or_else(|| RsError::NotFound(format!("relation {table:?}")))?;
         let store = self.cluster.store_for_slice(slice);
         version.slices[slice].scan(store.as_ref(), projection, Some(pred))
     }
 }
 
 /// Row source for the interpreted path: scans all slices sequentially,
-/// against the same MVCC snapshot shape as the compiled path.
-struct InterpSource<'a> {
-    cluster: &'a Cluster,
-    catalog: &'a Catalog,
-    snapshots: FxHashMap<String, Arc<TableVersion>>,
-}
-
-impl baseline::RowSource for InterpSource<'_> {
+/// against the same MVCC snapshot as the compiled path.
+impl baseline::RowSource for ReadSnapshot<'_> {
     fn scan_rows(&self, table: &str, projection: &[usize]) -> Result<Vec<Row>> {
-        let entry = self
-            .catalog
-            .get(table)
-            .ok_or_else(|| RsError::NotFound(format!("relation {table:?}")))?;
-        let version = self
-            .snapshots
-            .get(&table.to_ascii_lowercase())
-            .ok_or_else(|| RsError::NotFound(format!("relation {table:?}")))?;
-        let slices: Vec<usize> = if matches!(entry.dist_style, DistStyle::All) {
-            vec![0]
-        } else {
-            (0..version.slices.len()).collect()
-        };
+        let (version, replicated) = self.table(table)?;
+        let slices = if replicated { 1 } else { version.slices.len() };
         let mut rows = Vec::new();
-        for slice in slices {
+        for slice in 0..slices {
             let store = self.cluster.store_for_slice(slice);
             let out = version.slices[slice].scan(store.as_ref(), projection, None)?;
             for batch in out.batches {
@@ -2541,26 +2451,11 @@ impl Drop for WriteTxn<'_> {
         *self.entry.router.lock() = self.router.clone();
         *self.entry.rows_estimate.write() = self.rows_estimate;
         *self.entry.stats.write() = self.stats.take();
-        let key = self.entry.name.to_ascii_lowercase();
-        {
-            let mut loads = self.cluster.loads_since_analyze.lock();
-            match self.loads_since_analyze.take() {
-                Some(v) => {
-                    loads.insert(key, v);
-                }
-                None => {
-                    loads.remove(&key);
-                }
-            }
-        }
+        let loads = self.loads_since_analyze.take();
+        set_loads(&mut self.cluster.loads_since_analyze.lock(), &self.entry.name, loads);
         self.cluster.trace.counter("write_txn.rollbacks").add(1);
         self.cluster.trace.counter("write_txn.blocks_dropped").add(blocks as u64);
     }
-}
-
-/// Run `f` over owned inputs on scoped threads, preserving order.
-fn parallel_map<I: Send, T: Send>(inputs: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
-    redsim_testkit::par::map(inputs, f)
 }
 
 #[cfg(test)]
@@ -2776,6 +2671,30 @@ mod tests {
         // Background hydration completes.
         while restored.hydrate_step(16).unwrap() > 0 {}
         assert!((restored.hydration_progress() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn restored_cluster_refuses_snapshot_and_crash_after_hydration() {
+        let c = small();
+        c.execute("CREATE TABLE t (a BIGINT)").unwrap();
+        c.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        c.create_snapshot("snap-1", SnapshotKind::User).unwrap();
+        let restored = Cluster::restore_from_snapshot(
+            ClusterConfig::new("t2").nodes(2).slices_per_node(2),
+            Arc::clone(c.s3()),
+            "us-east-1",
+            "t",
+            "snap-1",
+            None,
+        )
+        .unwrap();
+        while restored.hydrate_step(16).unwrap() > 0 {}
+        assert!((restored.hydration_progress() - 1.0).abs() < 1e-9);
+        let msg = "snapshots and crash images are not supported on a restored cluster";
+        let snap = restored.create_snapshot("snap-2", SnapshotKind::User).unwrap_err();
+        assert_eq!(snap.to_string(), RsError::InvalidState(msg.into()).to_string());
+        let crash = restored.crash().err().expect("crash must be refused");
+        assert_eq!(crash.to_string(), RsError::InvalidState(msg.into()).to_string());
     }
 
     #[test]
@@ -3367,11 +3286,10 @@ mod session_tests {
     }
 
     #[test]
-    fn deprecated_query_as_routes_through_implicit_session() {
+    fn sessionless_query_routes_through_implicit_session() {
         let c = small();
         seed(&c);
-        #[allow(deprecated)]
-        let r = c.query_as("SELECT COUNT(*) FROM t", Some("etl_users")).unwrap();
+        let r = c.query("SELECT COUNT(*) FROM t").unwrap();
         assert!(!r.result_cache_hit, "implicit sessions never use the result cache");
         assert_eq!(c.session_manager().active_count(), 0, "implicit session unregistered");
         // The stl_query row carries a real session id, the default userid,
@@ -3457,7 +3375,7 @@ mod session_tests {
             }
             c.put_s3_object(&format!("in{i}/rows"), csv.into_bytes());
         }
-        let results = parallel_map((0..4).collect::<Vec<_>>(), |i| {
+        let results = par::map((0..4).collect::<Vec<_>>(), |i| {
             c.execute(&format!("COPY t{i} FROM 's3://in{i}/'")).map(|s| s.rows_affected)
         });
         for r in results {

@@ -15,14 +15,16 @@ use std::sync::Arc;
 
 /// A [`BlockStore`] that encrypts payloads on `put` and decrypts on `get`.
 pub struct EncryptedBlockStore<S: BlockStore> {
-    inner: S,
+    inner: Arc<S>,
     keyring: Arc<ClusterKeyring>,
     rng: Mutex<Pcg32>,
 }
 
 impl<S: BlockStore> EncryptedBlockStore<S> {
-    pub fn new(inner: S, keyring: Arc<ClusterKeyring>, seed: u64) -> Self {
-        EncryptedBlockStore { inner, keyring, rng: Mutex::new(Pcg32::seed_from_u64(seed)) }
+    /// Wrap `inner`, owned or shared (an `Arc` the caller keeps a handle to).
+    pub fn new(inner: impl Into<Arc<S>>, keyring: Arc<ClusterKeyring>, seed: u64) -> Self {
+        let rng = Mutex::new(Pcg32::seed_from_u64(seed));
+        EncryptedBlockStore { inner: inner.into(), keyring, rng }
     }
 
     pub fn keyring(&self) -> &Arc<ClusterKeyring> {

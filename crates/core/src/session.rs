@@ -7,9 +7,8 @@
 //! (COMPUPDATE default, result-cache opt-out), and the in-flight
 //! statement. The session is the single source of truth for the
 //! `userid`-style columns in `stl_*` tables and for WLM routing; the
-//! legacy `Cluster::query_as(sql, group)` shim now runs through an
-//! implicit single-statement session so both paths produce identical
-//! telemetry.
+//! sessionless `Cluster::query(sql)` runs through an implicit
+//! single-statement session so both paths produce identical telemetry.
 //!
 //! Statements within one session are serialized (a client connection is
 //! a pipe, not a pool); concurrency comes from opening many sessions,

@@ -798,11 +798,6 @@ impl WlmGuard {
         self.hops
     }
 
-    /// The WLM query id (joins against `stl_wlm_query.query`).
-    pub fn wlm_query_id(&self) -> u64 {
-        self.qid
-    }
-
     /// Whether this admission went through the SQA lane.
     pub fn via_sqa(&self) -> bool {
         self.lane == Lane::Sqa

@@ -11,6 +11,7 @@
 
 use crate::expr::{eval, eval_predicate};
 use crate::hashkey::HKey;
+use redsim_testkit::par;
 use redsim_testkit::sync::Mutex;
 use redsim_common::{
     ColumnData, DataType, FxHashMap, FxHashSet, Result, Row, RsError, Value,
@@ -314,7 +315,7 @@ impl<'a> Executor<'a> {
     ) -> Result<DataSet> {
         let n = self.provider.num_slices();
         let results: Vec<Result<(Vec<Batch>, ExecMetrics)>> =
-            parallel_map(n, |slice| {
+            par::map_indexed(n, |slice| {
                 if let Some(faults) = &self.faults {
                     use redsim_faultkit::{fp, Outcome};
                     match faults.fire(fp::EXEC_SCAN_SLICE) {
@@ -399,7 +400,7 @@ impl<'a> Executor<'a> {
                 Ok(DataSet::Leader(out?))
             }
             DataSet::Slices(per_slice) => {
-                let results: Vec<Result<Vec<Batch>>> = parallel_map_owned(per_slice, |batches| {
+                let results: Vec<Result<Vec<Batch>>> = par::map(per_slice, |batches| {
                     batches.into_iter().map(&f).collect()
                 });
                 Ok(DataSet::Slices(results.into_iter().collect::<Result<_>>()?))
@@ -530,7 +531,7 @@ impl<'a> Executor<'a> {
     ) -> Result<DataSet> {
         let pairs: Vec<(Vec<Batch>, Vec<Batch>)> =
             l_slices.into_iter().zip(r_slices).collect();
-        let results: Vec<Result<Vec<Batch>>> = parallel_map_owned(pairs, |(lb, rb)| {
+        let results: Vec<Result<Vec<Batch>>> = par::map(pairs, |(lb, rb)| {
             hash_join_local(lb, rb, lw, right_types, join_type, left_key, right_key, residual)
         });
         Ok(DataSet::Slices(results.into_iter().collect::<Result<_>>()?))
@@ -547,7 +548,7 @@ impl<'a> Executor<'a> {
         let ds = self.exec(input, step + 1)?;
         // Partial aggregation per slice, in parallel.
         let partials: Vec<Result<GroupTable>> = match ds {
-            DataSet::Slices(per_slice) => parallel_map_owned(per_slice, |batches| {
+            DataSet::Slices(per_slice) => par::map(per_slice, |batches| {
                 let mut table = GroupTable::default();
                 for batch in batches {
                     update_groups(&mut table, &batch, group_by, aggs)?;
@@ -1133,16 +1134,6 @@ fn concat_batches_opt(batches: Vec<Batch>) -> Option<Batch> {
         }
     }
     Some(acc)
-}
-
-/// Run `f(0..n)` on scoped threads, preserving order.
-fn parallel_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    redsim_testkit::par::map_indexed(n, f)
-}
-
-/// Like [`parallel_map`] but consuming owned inputs.
-fn parallel_map_owned<I: Send, T: Send>(inputs: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
-    redsim_testkit::par::map(inputs, f)
 }
 
 #[cfg(test)]

@@ -178,11 +178,6 @@ impl Span {
         self.inner.as_ref().map_or(0, |i| i.id)
     }
 
-    /// Root id of this span's tree (0 when disabled).
-    pub fn trace_id(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.trace)
-    }
-
     /// Attach/overwrite an attribute.
     pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
         if let Some(inner) = &mut self.inner {

@@ -47,7 +47,8 @@ pub struct BackupManager {
     snapshots: Mutex<Vec<SnapshotInfo>>,
     /// Keep at most this many system snapshots (aging).
     system_retention: usize,
-    /// Retry policy for S3 uploads / DR copies during snapshots.
+    /// Retry policy for S3 uploads / DR copies during snapshots, and for
+    /// manifest reads during restores.
     retry: RetryPolicy,
 }
 
@@ -211,13 +212,15 @@ impl BackupManager {
     }
 
     /// Load a snapshot manifest (from the given region — DR drills read
-    /// the second region).
+    /// the second region). The read goes through the retry policy, so a
+    /// transient S3 fault does not fail the restore that needs it.
     pub fn load_manifest(
         &self,
         region: &str,
         id: &str,
     ) -> Result<(SnapshotKind, Vec<u8>, Vec<BlockId>)> {
-        let bytes = self.s3.get(region, &self.manifest_key(id))?;
+        let key = self.manifest_key(id);
+        let bytes = self.retry.run("s3.get", || self.s3.get(region, &key))?;
         let mut r = Reader::new(&bytes);
         if r.get_u32()? != 0x534E_4150 {
             return Err(RsError::Codec("bad snapshot magic".into()));

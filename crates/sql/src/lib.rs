@@ -36,17 +36,3 @@ pub use plan::{AggFunc, BoundExpr, LogicalPlan};
 pub fn parse(sql: &str) -> redsim_common::Result<Statement> {
     parser::Parser::new(sql)?.parse_statement()
 }
-
-/// Parse, bind and optimize a query against a catalog.
-pub fn plan_query(
-    sql: &str,
-    catalog: &dyn CatalogView,
-) -> redsim_common::Result<plan::LogicalPlan> {
-    match parse(sql)? {
-        Statement::Select(sel) => {
-            let bound = Binder::new(catalog).bind_select(&sel)?;
-            Ok(optimizer::optimize(bound, catalog))
-        }
-        _ => Err(redsim_common::RsError::Analysis("not a SELECT statement".into())),
-    }
-}

@@ -2,7 +2,7 @@
 //! describes, exercised through the public facade crate.
 
 // All statements run through explicit `Session`s (or the cluster-level
-// convenience wrappers); the deprecated `query_as` shim stays banned.
+// convenience wrappers); deprecated APIs stay banned.
 #![deny(deprecated)]
 
 use redshift_sim::core::{Cluster, ClusterConfig};

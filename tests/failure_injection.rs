@@ -3,8 +3,8 @@
 //! after loads; lose S3 objects; break crypto keys — every failure either
 //! degrades transparently or reports a typed error, never corrupts.
 
-// All statements run through explicit `Session`s; the deprecated
-// `query_as` shim stays banned.
+// All statements run through explicit `Session`s; deprecated APIs stay
+// banned.
 #![deny(deprecated)]
 
 use redshift_sim::common::RetryPolicy;
@@ -331,6 +331,28 @@ fn streaming_restore_completes_via_retries() {
     while restored.hydrate_step(32).unwrap() > 0 {}
     assert!(restored.faults().injected_total() > 0, "flakiness never struck");
     restored.faults().clear_all();
+    assert_eq!(restored.query("SELECT COUNT(*), SUM(a) FROM t").unwrap().rows, before);
+}
+
+#[test]
+fn restore_retries_a_throttled_manifest_read() {
+    // The very first S3 read of a restore is its manifest: one throttled
+    // GET there is retried like any other, not fatal to the restore.
+    let c = Cluster::launch(ClusterConfig::new("thr-rst").nodes(2).slices_per_node(1)).unwrap();
+    load(&c, 2_000);
+    c.create_snapshot("s", SnapshotKind::User).unwrap();
+    let before = c.query("SELECT COUNT(*), SUM(a) FROM t").unwrap().rows;
+    c.faults().configure(fp::S3_GET, FaultSpec::err(ErrClass::Throttle).once());
+    let restored = Cluster::restore_from_snapshot(
+        ClusterConfig::new("thr-rst2").nodes(2).slices_per_node(1).retry(fast_retry()),
+        Arc::clone(c.s3()),
+        "us-east-1",
+        "thr-rst",
+        "s",
+        None,
+    )
+    .unwrap();
+    assert_eq!(restored.faults().injected_total(), 1, "the throttle never struck");
     assert_eq!(restored.query("SELECT COUNT(*), SUM(a) FROM t").unwrap().rows, before);
 }
 

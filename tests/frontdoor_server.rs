@@ -2,8 +2,8 @@
 //! the connection-limit backlog, graceful drain, and typed errors
 //! surviving the trip through the socket.
 
-// Wire sessions are the whole point here: nothing may fall back to the
-// deprecated sessionless `query_as` shim.
+// Wire sessions are the whole point here: nothing may fall back to a
+// deprecated API.
 #![deny(deprecated)]
 
 use redshift_sim::core::{Cluster, ClusterConfig};

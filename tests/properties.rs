@@ -7,8 +7,8 @@
 //! cases, and the fuzz-found lexer input is additionally pinned as the
 //! named test [`regression_lexer_multibyte_start`].
 
-// The suite builds warning-free off the deprecated `Cluster::query_as`
-// shim: everything goes through explicit `Session`s. Keep it that way.
+// The suite builds warning-free off deprecated APIs: everything goes
+// through explicit `Session`s. Keep it that way.
 #![deny(deprecated)]
 
 use redshift_sim::common::{ColumnData, ColumnDef, DataType, Schema, Value};

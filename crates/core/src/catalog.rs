@@ -7,7 +7,9 @@ use redsim_common::{Result, RsError, Schema};
 use redsim_distribution::{ClusterTopology, DistStyle, RowRouter};
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::{SliceTable, SortKeySpec, TableConfig};
+use redsim_storage::BlockId;
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// An immutable, published snapshot of one table's storage state — the
@@ -41,11 +43,13 @@ pub struct TableEntry {
     pub rows_estimate: RwLock<u64>,
     /// Last committed version (what SELECT sees).
     pub committed: RwLock<Arc<TableVersion>>,
-    /// First-committer-wins writer lock: a COPY/INSERT `try_lock`s this
-    /// for the statement's duration; a second writer on the same table
-    /// finds it held and fails with `RsError::Serializable` instead of
-    /// queueing. Writers to *different* tables proceed in parallel.
-    pub writer: Mutex<()>,
+    /// First-committer-wins writer claim: a COPY/INSERT sets this for
+    /// the statement's duration; a second writer on the same table finds
+    /// it set and fails with `RsError::Serializable` instead of queueing.
+    /// Writers to *different* tables proceed in parallel. The claim is an
+    /// `Acquire` swap and the release a `Release` store, so each writer
+    /// sees everything the previous one did to the table.
+    pub writer: AtomicBool,
 }
 
 impl TableEntry {
@@ -80,7 +84,7 @@ impl TableEntry {
             stats: RwLock::new(None),
             rows_estimate: RwLock::new(0),
             committed: RwLock::new(Arc::new(v0)),
-            writer: Mutex::new(()),
+            writer: AtomicBool::new(false),
         }))
     }
 
@@ -91,7 +95,7 @@ impl TableEntry {
     }
 
     /// Publish the live slice state as the new committed version.
-    /// Called with the table's `writer` lock held (or under the global
+    /// Called with the table's `writer` claim held (or under the global
     /// exclusive `data_lock` for DDL/VACUUM paths), *after* the WAL
     /// commit mark — publish order is durability first, visibility
     /// second, so a crash between the two re-derives the version at
@@ -103,6 +107,11 @@ impl TableEntry {
             rows_estimate: *self.rows_estimate.read(),
         };
         *self.committed.write() = Arc::new(v);
+    }
+
+    /// Every block the live slices reference.
+    pub fn block_ids(&self) -> Vec<BlockId> {
+        self.slices.iter().flat_map(|s| s.lock().block_ids()).collect()
     }
 
     /// Total rows across slices (ALL-distributed tables report one copy).
@@ -269,7 +278,7 @@ impl Catalog {
                 stats: RwLock::new(None),
                 rows_estimate: RwLock::new(rows_estimate),
                 committed: RwLock::new(Arc::new(v0)),
-                writer: Mutex::new(()),
+                writer: AtomicBool::new(false),
             }))?;
         }
         Ok(catalog)

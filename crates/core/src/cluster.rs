@@ -31,7 +31,7 @@ use redsim_common::FxHashMap;
 use redsim_storage::stats::TableStats;
 use redsim_storage::table::{ScanOutput, ScanPredicate, SliceTable, SortKeySpec, WriteCheckpoint};
 use redsim_storage::wal::{self, Wal};
-use redsim_storage::BlockStore;
+use redsim_storage::{BlockId, BlockStore};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -151,9 +151,8 @@ pub struct Cluster {
     /// The leader's *global* transaction serialization point. Only
     /// catalog-shaped statements (DDL, VACUUM, ANALYZE, redistribute,
     /// snapshot, key rotation) queue here; per-table writers (COPY /
-    /// INSERT) serialize on their table's `writer` mutex instead and run
-    /// concurrently across tables. All acquisition goes through
-    /// [`Cluster::begin_write_txn`].
+    /// INSERT) claim their table's `writer` flag instead and run
+    /// concurrently across tables. Taken only by [`CatalogWrite::begin`].
     write_txn: Mutex<()>,
     /// Structural lock over table *storage*. Readers and per-table
     /// writers hold it shared — reads are isolated by MVCC snapshots
@@ -163,7 +162,7 @@ pub struct Cluster {
     /// exclusively.
     data_lock: RwLock<()>,
     /// Armed by [`Cluster::crash`] (and by tests via
-    /// [`Cluster::arm_hard_crash`]): in-flight [`WriteTxn`] rollbacks
+    /// [`Cluster::arm_hard_crash`]): in-flight [`TableWrite`] rollbacks
     /// become no-ops, modeling a process that died mid-statement and
     /// left orphan blocks for recovery to scrub.
     hard_crash: AtomicBool,
@@ -828,7 +827,7 @@ impl Cluster {
 
     fn run_create_table(&self, ct: ast::CreateTable) -> Result<ExecSummary> {
         self.check_writable()?;
-        let txn = self.begin_write_txn(WriteScope::Exclusive)?;
+        let mut w = CatalogWrite::begin(self);
         let schema = Schema::new(
             ct.columns
                 .iter()
@@ -872,26 +871,18 @@ impl Cluster {
             &self.topology,
             self.config.rows_per_group,
         )?;
+        let name = entry.name.clone();
         self.catalog.write().create(entry)?;
-        // DDL is durable via a full-catalog checkpoint. If the redo log
-        // rejects it (injected fault), undo the in-memory create so the
-        // failed statement is invisible.
-        if let Err(e) = self.log_checkpoint(txn.txn) {
-            let _ = self.catalog.write().drop_table(&ct.name);
-            return Err(e);
-        }
-        // Schema change: cached plans bound against the old catalog must
-        // not survive (a re-created table with a different schema can
-        // produce a Debug-identical plan signature), and result-cache
-        // entries stop matching via the version bump.
-        self.plan_cache.invalidate_all();
-        self.bump_catalog_version();
+        w.on_undo(move || {
+            let _ = self.catalog.write().drop_table(&name);
+        });
+        w.commit(&[], Plans::Invalidate, Vec::new())?;
         Ok(ExecSummary { rows_affected: 0, message: format!("CREATE TABLE {}", ct.name) })
     }
 
     fn run_drop_table(&self, name: &str, if_exists: bool) -> Result<ExecSummary> {
         self.check_writable()?;
-        let txn = self.begin_write_txn(WriteScope::Exclusive)?;
+        let mut w = CatalogWrite::begin(self);
         let entry = match self.catalog.write().drop_table(name) {
             Ok(e) => e,
             Err(_) if if_exists => {
@@ -899,33 +890,18 @@ impl Cluster {
             }
             Err(e) => return Err(e),
         };
-        // Deferred deletion: make the drop durable *before* deleting the
-        // blocks. A crash on either side of the commit mark leaves one
-        // complete, readable state — before: the table recovers intact
-        // (blocks still present); after: the table is gone and any
-        // still-present blocks are orphans for recovery to scrub.
-        if let Err(e) = self.log_checkpoint(txn.txn) {
+        let blocks = entry.block_ids();
+        w.on_undo(move || {
             let _ = self.catalog.write().create(entry);
-            return Err(e);
-        }
-        for (i, slice) in entry.slices.iter().enumerate() {
-            slice.lock().drop_storage(self.store_for_slice(i).as_ref());
-        }
-        self.plan_cache.invalidate_all();
-        self.bump_catalog_version();
+        });
+        w.commit(&[], Plans::Invalidate, blocks)?;
         Ok(ExecSummary { rows_affected: 0, message: format!("DROP TABLE {name}") })
     }
 
     fn run_insert(&self, ins: ast::Insert) -> Result<ExecSummary> {
         self.check_writable()?;
-        // Table writers run under the *shared* data lock: concurrent
-        // INSERT/COPY into different tables proceed in parallel, readers
-        // keep reading their MVCC snapshots, and a second writer on the
-        // same table fails fast with a serializable-isolation error.
-        let _shared = self.data_lock.read();
-        let catalog = self.catalog.read();
-        let entry = catalog.require(&ins.table)?;
-        let txn = self.begin_write_txn(WriteScope::Table(&entry))?;
+        let w = TableWrite::begin(self, &ins.table)?;
+        let entry = &w.entry;
         // Map the column list (or full schema order).
         let target_cols: Vec<usize> = match &ins.columns {
             Some(cols) => cols
@@ -939,7 +915,8 @@ impl Cluster {
                 .collect::<Result<_>>()?,
             None => (0..entry.schema.len()).collect(),
         };
-        let view = PlannerCatalog { catalog: &catalog, total_slices: self.topology.total_slices() };
+        let view =
+            PlannerCatalog { catalog: &w.catalog, total_slices: self.topology.total_slices() };
         let binder = Binder::new(&view);
         let mut batch: Vec<ColumnData> =
             entry.schema.columns().iter().map(|c| ColumnData::new(c.data_type)).collect();
@@ -964,125 +941,10 @@ impl Cluster {
                 batch[ci].push_value(v)?;
             }
         }
-        // Atomic install: a partial multi-slice append (one slice
-        // encoded a group, another errored) must not leave stray rows
-        // or a drifted round-robin cursor behind.
-        let guard = self.begin_write(&entry);
-        self.append_distributed(&entry, batch, true)?;
+        self.append_distributed(entry, batch, true)?;
         *entry.rows_estimate.write() += n_rows;
-        // Durability first (redo record + commit mark), visibility
-        // second (publish the new committed version). A `?` here drops
-        // `guard`, rolling the in-memory state back to the snapshot.
-        self.log_table_delta(txn.txn, &entry)?;
-        guard.commit();
-        entry.publish(txn.txn);
-        // Committed (and only committed) writes invalidate the result
-        // cache; the early-return error paths above never get here.
-        self.bump_catalog_version();
+        w.commit()?;
         Ok(ExecSummary { rows_affected: n_rows, message: format!("INSERT 0 {n_rows}") })
-    }
-
-    /// Open a transaction: the single entry point for every write
-    /// statement's locking (DESIGN.md §15). Allocates the transaction id
-    /// and takes exactly the locks the scope needs:
-    ///
-    /// - [`WriteScope::Table`]: first-committer-wins `try_lock` on the
-    ///   table's writer mutex. The caller already holds the *shared*
-    ///   `data_lock` (taken before the catalog lock), so same-table
-    ///   contention is the only thing that can fail — and it fails fast
-    ///   with a retryable [`RsError::Serializable`] instead of queueing,
-    ///   recorded in `txn.conflicts` / `stl_tr_conflict`.
-    /// - [`WriteScope::Exclusive`]: the global `write_txn` mutex plus the
-    ///   exclusive `data_lock` — waits out readers and in-flight table
-    ///   writers, so live state equals committed state and a full-catalog
-    ///   WAL checkpoint taken under it is consistent.
-    fn begin_write_txn<'a>(&'a self, scope: WriteScope<'a>) -> Result<TxnHandle<'a>> {
-        let txn = self.txn_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        match scope {
-            WriteScope::Exclusive => Ok(TxnHandle {
-                txn,
-                _global: Some(self.write_txn.lock()),
-                _excl: Some(self.data_lock.write()),
-                _writer: None,
-            }),
-            WriteScope::Table(entry) => match entry.writer.try_lock() {
-                Some(w) => {
-                    Ok(TxnHandle { txn, _global: None, _excl: None, _writer: Some(w) })
-                }
-                None => {
-                    self.trace.counter("txn.conflicts").incr();
-                    self.trace.span_completed(
-                        LVL_CORE,
-                        "tr_conflict",
-                        0,
-                        &[
-                            ("table", AttrValue::Str(entry.name.clone())),
-                            ("xact_id", AttrValue::U64(txn)),
-                        ],
-                    );
-                    Err(RsError::Serializable(format!(
-                        "1023: serializable isolation violation on table {:?} — a \
-                         concurrent write transaction is in progress; retry the statement",
-                        entry.name
-                    )))
-                }
-            },
-        }
-    }
-
-    /// Append one committed table-writer's post-state to the redo log:
-    /// redo record, fsync, commit mark. Called with the table's writer
-    /// lock held and after the final flush, so every slice's buffer is
-    /// empty and `encode_meta` is a lossless image. Any failure (all
-    /// injected — the log is in-memory) aborts the statement *before*
-    /// it publishes, so an unlogged write is never visible.
-    fn log_table_delta(&self, txn: u64, entry: &TableEntry) -> Result<()> {
-        let mut w = Writer::new();
-        w.put_str(&entry.name);
-        w.put_u64(*entry.rows_estimate.read());
-        self.encode_table_extras(entry, &mut w);
-        w.put_u32(entry.slices.len() as u32);
-        for s in &entry.slices {
-            s.lock().encode_meta(&mut w);
-        }
-        self.wal.append_delta(txn, &w.into_bytes())?;
-        self.wal.sync()?;
-        self.wal.commit(txn)?;
-        self.trace.counter("wal.commits").incr();
-        Ok(())
-    }
-
-    /// Write a full-catalog checkpoint to the redo log and reclaim the
-    /// bytes it supersedes. Caller holds the exclusive `data_lock`
-    /// ([`WriteScope::Exclusive`]), so the live catalog *is* the
-    /// committed state. Format: [`Catalog::encode`] followed by the
-    /// per-table extras it omits (router cursor, optimizer stats,
-    /// loads-since-analyze).
-    fn log_checkpoint(&self, txn: u64) -> Result<()> {
-        let catalog = self.catalog.read();
-        let mut w = Writer::new();
-        catalog.encode(&mut w);
-        let tables: Vec<&Arc<TableEntry>> = catalog.tables().collect();
-        w.put_u32(tables.len() as u32);
-        for t in tables {
-            w.put_str(&t.name);
-            self.encode_table_extras(t, &mut w);
-        }
-        self.wal.append_checkpoint(txn, &w.into_bytes())?;
-        self.wal.commit(txn)?;
-        self.trace.counter("wal.commits").incr();
-        // Truncation is pure space reclamation: the checkpoint above is
-        // already durable, so a failure here (injected) must not fail the
-        // statement — the log is just longer than it needs to be.
-        match self.wal.truncate() {
-            Ok(reclaimed) => {
-                if reclaimed > 0 {
-                    self.trace.counter("wal.bytes_reclaimed").add(reclaimed as u64);
-                }
-            }
-            Err(_) => self.trace.counter("wal.truncate_errors").incr(),
-        }
-        Ok(())
     }
 
     /// Append `entry`'s [`TableExtras`] to a redo record.
@@ -1096,37 +958,6 @@ impl Cluster {
             None => w.put_bool(false),
         }
         w.put_u64(self.loads_since_analyze(&entry.name));
-    }
-
-    /// Open a slice-level write transaction over `entry` (DESIGN.md §11).
-    ///
-    /// Callers hold the table's writer mutex (via
-    /// [`Cluster::begin_write_txn`]), so exactly one statement mutates
-    /// this table at a time and the snapshot is a consistent image of
-    /// everything it can mutate: each slice's buffered tail / group
-    /// manifests / encodings / COMPUPDATE flag, the router's round-robin
-    /// cursor, and the catalog counters (`rows_estimate`, `stats`,
-    /// `loads_since_analyze`). Dropping the guard without
-    /// [`WriteTxn::commit`] rolls everything back and deletes the blocks
-    /// the statement wrote from every replica, so an aborted COPY/INSERT
-    /// is observationally invisible — unless a hard crash is armed, in
-    /// which case rollback is skipped and recovery's orphan scrub owns
-    /// the cleanup.
-    fn begin_write(&self, entry: &Arc<TableEntry>) -> WriteTxn<'_> {
-        WriteTxn {
-            checkpoints: entry.slices.iter().map(|s| Some(s.lock().begin_write())).collect(),
-            router: entry.router.lock().clone(),
-            rows_estimate: *entry.rows_estimate.read(),
-            stats: entry.stats.read().clone(),
-            loads_since_analyze: self
-                .loads_since_analyze
-                .lock()
-                .get(&entry.name.to_ascii_lowercase())
-                .copied(),
-            cluster: self,
-            entry: Arc::clone(entry),
-            armed: true,
-        }
     }
 
     /// Route a batch by the table's distribution style and append to the
@@ -1161,180 +992,19 @@ impl Cluster {
     // COPY
     // ------------------------------------------------------------------
 
+    /// Run a COPY, one call per stage (DESIGN.md §17). All-or-nothing
+    /// ("data loads are transactional", §2.1): any error before the
+    /// commit drops the [`TableWrite`], which rolls every touched slice,
+    /// the router cursor and the catalog counters back and deletes the
+    /// statement's blocks from every replica.
     fn run_copy(&self, c: ast::Copy, ctx: &SessionCtx) -> Result<ExecSummary> {
         self.check_writable()?;
-        // Shared data lock + per-table writer lock: COPYs into different
-        // tables run concurrently; a second COPY into the same table
-        // fails fast with a serializable-isolation error.
-        let _shared = self.data_lock.read();
-        let catalog = self.catalog.read();
-        let entry = catalog.require(&c.table)?;
-        let wtxn = self.begin_write_txn(WriteScope::Table(&entry))?;
-        // `s3://prefix` → object listing in the home region.
-        let prefix = c
-            .source
-            .strip_prefix("s3://")
-            .ok_or_else(|| RsError::Unsupported("COPY sources must be s3:// URIs".into()))?;
-        let keys = self.s3.list(&self.config.region, prefix);
-        if keys.is_empty() {
-            return Err(RsError::NotFound(format!("no objects under s3://{prefix}")));
-        }
-        let t_copy = std::time::Instant::now();
-        let mut span = self.trace.span(LVL_PHASE, "copy");
-        if span.is_recording() {
-            span.attr("table", c.table.clone());
-            span.attr("objects", keys.len());
-        }
-        // All-or-nothing from here on ("data loads are transactional",
-        // §2.1): any error below rolls every touched slice, the router
-        // cursor and the catalog counters back to this snapshot and
-        // deletes the statement's blocks from every replica.
-        let txn = self.begin_write(&entry);
-        // COMPUPDATE governs automatic compression analysis on first
-        // load; an unspecified statement falls back to the session's
-        // default (SET compupdate). A per-statement override: the txn
-        // guard restores the flag on commit *and* rollback, so an
-        // aborted COPY no longer leaves it flipped on every slice.
-        let comp_update = c.comp_update.unwrap_or(ctx.comp_update_default);
-        for s in &entry.slices {
-            s.lock().set_auto_compress(comp_update);
-        }
-        if comp_update {
-            // First flush samples the data and locks per-column encodings.
-            span.event_with(
-                LVL_PHASE,
-                "copy.encoding_sample",
-                &[("table", AttrValue::Str(c.table.clone()))],
-            );
-        }
-        // Client-side encrypted sources carry a hex key in the statement.
-        let source_key = match &c.decrypt_key {
-            Some(hex) => Some(parse_hex_key(hex)?),
-            None => None,
-        };
-        // Parse objects in parallel (each slice "reading data in
-        // parallel"), then route + append.
-        let texts: Vec<Result<Vec<ColumnData>>> = par::map(keys, |key| {
-            let mut ospan = span.child(LVL_DETAIL, "copy.object");
-            if ospan.is_recording() {
-                ospan.attr("object", key.clone());
-            }
-            // Fetch through the `copy.fetch_object` failpoint with the
-            // cluster retry policy: transient S3 flakiness is absorbed
-            // with backoff, permanent faults surface typed.
-            let raw = self.config.retry.with_seed(self.config.seed).run_observed(
-                "copy.fetch_object",
-                || {
-                    redsim_replication::fire_no_skip(
-                        self.s3.faults(),
-                        Some(&self.trace),
-                        redsim_faultkit::fp::COPY_FETCH_OBJECT,
-                    )?;
-                    self.s3.get(&self.config.region, &key)
-                },
-                redsim_replication::retry_observer(Some(Arc::clone(&self.trace))),
-            )?;
-            // Undo source-side transforms: decrypt, then decompress
-            // ("COPY also directly supports ingestion of … data that is
-            // encrypted and/or compressed", §2.1).
-            let mut bytes: Vec<u8> = raw.to_vec();
-            if let Some(k) = &source_key {
-                let enc = redsim_crypto::EncryptedPayload::deserialize(&bytes)
-                    .map_err(|e| RsError::Analysis(format!("{key}: {e}")))?;
-                bytes = redsim_crypto::decrypt_payload(k, &enc)
-                    .map_err(|e| RsError::Analysis(format!("{key}: {e}")))?;
-            }
-            if c.compressed {
-                bytes = redsim_storage::lzss::decompress(&bytes)
-                    .map_err(|e| RsError::Analysis(format!("{key}: {e}")))?;
-            }
-            let text = std::str::from_utf8(&bytes)
-                .map_err(|_| RsError::Analysis(format!("{key}: not UTF-8")))?;
-            let parsed = match c.format {
-                ast::CopyFormat::Csv => loader::parse_csv(text, c.delimiter, &entry.schema),
-                ast::CopyFormat::Json => loader::parse_json_lines(text, &entry.schema),
-            };
-            if ospan.is_recording() {
-                if let Ok(cols) = &parsed {
-                    ospan.attr("rows", cols.first().map_or(0, |col| col.len()));
-                }
-            }
-            parsed
-        });
-        let mut loaded = 0u64;
-        {
-            let mut aspan = span.child(LVL_PHASE, "copy.append");
-            for t in texts {
-                let batch = t?;
-                loaded += batch.first().map_or(0, |col| col.len()) as u64;
-                self.append_distributed(&entry, batch, false)?;
-            }
-            aspan.attr("rows", loaded);
-        }
-        // Flush buffered tails on every slice (this is where row groups
-        // are sealed into encoded blocks).
-        let seal_span = span.child(LVL_PHASE, "copy.seal");
-        let results: Vec<Result<()>> = par::map_indexed(entry.slices.len(), |slice| {
-            let mut sspan = seal_span.child(LVL_DETAIL, "copy.slice_seal");
-            if sspan.is_recording() {
-                sspan.attr("slice", slice);
-            }
-            entry.slices[slice].lock().flush(self.store_for_slice(slice).as_ref())
-        });
-        seal_span.finish();
-        // Aggregate per-slice seal failures instead of dropping all but
-        // the first: the returned error names every failed slice, and
-        // its variant (→ retry class) is inherited from the first
-        // failure so THROTTLE exhaustion stays visibly transient.
-        let failures: Vec<(usize, RsError)> = results
-            .into_iter()
-            .enumerate()
-            .filter_map(|(slice, r)| r.err().map(|e| (slice, e)))
-            .collect();
-        if !failures.is_empty() {
-            self.trace.counter("copy.seal_errors").add(failures.len() as u64);
-            let detail = failures
-                .iter()
-                .map(|(slice, e)| format!("slice {slice}: {e}"))
-                .collect::<Vec<_>>()
-                .join("; ");
-            let n = failures.len();
-            let total = entry.slices.len();
-            let first = failures.into_iter().next().expect("non-empty").1;
-            return Err(first
-                .with_note(&format!(" (COPY seal failed on {n} of {total} slices: [{detail}])")));
-        }
-        *entry.rows_estimate.write() += loaded;
-        *self
-            .loads_since_analyze
-            .lock()
-            .entry(entry.name.to_ascii_lowercase())
-            .or_insert(0) += loaded;
-        // STATUPDATE: refresh optimizer statistics with the load (§2.1:
-        // "By default, compression scheme and optimizer statistics are
-        // updated with load").
-        if c.stat_update {
-            let aspan = span.child(LVL_PHASE, "copy.analyze");
-            self.analyze_entry(&entry)?;
-            aspan.finish();
-        }
-        if span.is_recording() {
-            span.attr("rows", loaded);
-        }
-        span.finish();
-        // Durability first (redo record + commit mark), visibility
-        // second. A WAL failure drops `txn`, rolling the load back —
-        // an unlogged COPY is never visible.
-        self.log_table_delta(wtxn.txn, &entry)?;
-        txn.commit();
-        entry.publish(wtxn.txn);
-        // The commit above is the last fallible step: a COPY that rolls
-        // back (any `?` earlier) never reaches this bump, so it never
-        // invalidates the result cache — the PR-5 atomicity contract.
-        self.bump_catalog_version();
-        self.trace.counter("copy.rows_loaded").add(loaded);
-        self.trace.histogram("copy.duration_ns").record(t_copy.elapsed().as_nanos() as u64);
-        Ok(ExecSummary { rows_affected: loaded, message: format!("COPY {loaded}") })
+        let (mut run, keys) = CopyRun::begin(self, &c, ctx)?;
+        let parsed = run.fetch(keys)?;
+        run.append(parsed)?;
+        run.seal()?;
+        run.account()?;
+        run.commit()
     }
 
     // ------------------------------------------------------------------
@@ -1343,14 +1013,10 @@ impl Cluster {
 
     fn run_vacuum(&self, table: Option<&str>) -> Result<ExecSummary> {
         self.check_writable()?;
-        let txn = self.begin_write_txn(WriteScope::Exclusive)?;
+        let w = CatalogWrite::begin(self);
         let targets = self.catalog.read().targets(table)?;
-        // Deferred deletion: the rewrite installs new blocks but keeps
-        // the old ones until the checkpoint below is durably committed.
-        // A crash before the commit mark recovers the pre-vacuum layout
-        // (new blocks are scrubbed as orphans); after it, the post-vacuum
-        // layout (old blocks are scrubbed). Either way exactly one
-        // complete block set backs the recovered manifests.
+        // The rewrite installs new blocks but keeps the old ones until
+        // the commit's checkpoint is durable (deferred deletion).
         let mut old_blocks = Vec::new();
         let mut rewritten = 0u64;
         for entry in &targets {
@@ -1364,39 +1030,28 @@ impl Cluster {
                 old_blocks.extend(blocks);
             }
         }
-        self.log_checkpoint(txn.txn)?;
-        if let Some(store) = self.node_stores.first() {
-            for id in old_blocks {
-                store.delete(id);
-            }
-        }
-        for entry in &targets {
-            entry.publish(txn.txn);
-        }
         // VACUUM re-sorts without changing visible rows, but the blocks
         // behind a cached plan's zone maps did change; conservatively
         // treat every committed mutating statement the same way.
-        self.bump_catalog_version();
+        w.commit(&targets, Plans::Keep, old_blocks)?;
         Ok(ExecSummary { rows_affected: rewritten, message: format!("VACUUM {rewritten}") })
     }
 
     fn run_analyze(&self, table: Option<&str>) -> Result<ExecSummary> {
         self.check_readable()?;
-        // Exclusive so the refreshed stats and the checkpoint that makes
-        // them durable are a consistent image. (A COPY's STATUPDATE
-        // analyze instead rides the COPY's own writer lock and delta.)
-        let txn = self.begin_write_txn(WriteScope::Exclusive)?;
+        // A catalog write, so the refreshed stats and the checkpoint that
+        // makes them durable are a consistent image. (A COPY's STATUPDATE
+        // analyze instead rides the COPY's own table write and delta.)
+        let mut w = CatalogWrite::begin(self);
         let targets = self.catalog.read().targets(table)?;
-        let mut analyzed = 0;
+        let mut saved: Vec<_> =
+            targets.iter().map(|e| (Arc::clone(e), TableImage::capture(self, e))).collect();
+        w.on_undo(move || saved.iter_mut().for_each(|(e, image)| image.restore(self, e)));
         for entry in &targets {
             self.analyze_entry(entry)?;
-            analyzed += 1;
         }
-        self.log_checkpoint(txn.txn)?;
-        for entry in &targets {
-            entry.publish(txn.txn);
-        }
-        self.bump_catalog_version();
+        w.commit(&targets, Plans::Keep, Vec::new())?;
+        let analyzed = targets.len() as u64;
         Ok(ExecSummary { rows_affected: analyzed, message: format!("ANALYZE {analyzed} tables") })
     }
 
@@ -1432,17 +1087,12 @@ impl Cluster {
     pub fn create_snapshot(&self, id: &str, kind: SnapshotKind) -> Result<SnapshotInfo> {
         self.check_readable()?;
         let replicated = self.require_replicated()?;
-        // Exclusive: waits out in-flight table writers, so the manifest
-        // only ever references committed blocks.
-        let _txn = self.begin_write_txn(WriteScope::Exclusive)?;
+        // A catalog write waits out in-flight table writers, so the
+        // manifest only ever references committed blocks.
+        let _w = CatalogWrite::begin(self);
         let mut span = self.trace.span(LVL_PHASE, "snapshot");
         let catalog = self.catalog.read();
-        let mut blocks = Vec::new();
-        for t in catalog.tables() {
-            for s in &t.slices {
-                blocks.extend(s.lock().block_ids());
-            }
-        }
+        let blocks: Vec<_> = catalog.tables().flat_map(|t| t.block_ids()).collect();
         if span.is_recording() {
             span.attr("id", id);
             span.attr("blocks", blocks.len());
@@ -1700,9 +1350,8 @@ impl Cluster {
     /// advisor; also callable directly).
     pub fn redistribute_all(&self, table: &str) -> Result<()> {
         self.check_writable()?;
-        let txn = self.begin_write_txn(WriteScope::Exclusive)?;
-        let catalog = self.catalog.read();
-        let entry = catalog.require(table)?;
+        let mut w = CatalogWrite::begin(self);
+        let entry = self.catalog.read().require(table)?;
         if matches!(entry.dist_style, DistStyle::All) {
             return Ok(());
         }
@@ -1715,38 +1364,23 @@ impl Cluster {
                 st.lock().vacuum(self.store_for_slice(slice).as_ref())?;
             }
         }
-        // Swap in the ALL layout, make it durable, and only then free
-        // the old layout's blocks (deferred deletion — a crash on either
-        // side of the commit mark leaves one complete block set; the
-        // other side is scrubbed as orphans during recovery).
-        let name = entry.name.clone();
-        drop(catalog);
-        {
+        let swap = |out: &Arc<TableEntry>, into: &Arc<TableEntry>| {
             let mut catalog = self.catalog.write();
-            catalog.drop_table(&name)?;
-            catalog.create(Arc::clone(&new_entry))?;
-        }
-        if let Err(e) = self.log_checkpoint(txn.txn) {
-            // Undo the swap so the failed statement is invisible.
-            let mut catalog = self.catalog.write();
-            let _ = catalog.drop_table(&name);
-            let _ = catalog.create(Arc::clone(&entry));
-            drop(catalog);
-            for (slice, st) in new_entry.slices.iter().enumerate() {
+            let _ = catalog.drop_table(&out.name);
+            catalog.create(Arc::clone(into))
+        };
+        swap(&entry, &new_entry)?;
+        let old_blocks = entry.block_ids();
+        let installed = Arc::clone(&new_entry);
+        w.on_undo(move || {
+            let _ = swap(&installed, &entry);
+            for (slice, st) in installed.slices.iter().enumerate() {
                 st.lock().drop_storage(self.store_for_slice(slice).as_ref());
             }
-            return Err(e);
-        }
-        new_entry.publish(txn.txn);
-        for (slice, st) in entry.slices.iter().enumerate() {
-            st.lock().drop_storage(self.store_for_slice(slice).as_ref());
-        }
+        });
         // The table changed distribution: plans compiled against the old
-        // layout are stale, and cached results (though still row-correct)
-        // follow the same committed-write rule as everything else.
-        self.plan_cache.invalidate_all();
-        self.bump_catalog_version();
-        Ok(())
+        // layout are stale.
+        w.commit(&[new_entry], Plans::Invalidate, old_blocks)
     }
 
     /// Auto-relationalize semi-structured data (§4 future work): infer a
@@ -1787,13 +1421,16 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Rotate the cluster key (re-wraps block keys only; §3.2).
+    /// A crashed (or resizing) handle refuses: its keyring is shared with
+    /// the cluster recovered from its [`CrashImage`].
     pub fn rotate_cluster_key(&self) -> Result<()> {
+        self.check_writable()?;
         let Some(ClusterKeys { keyring, hsm, .. }) = &self.keys else {
             return Err(RsError::Crypto("cluster is not encrypted".into()));
         };
-        // The exclusive write txn serializes all key users; the keyring
-        // rotates through interior mutability.
-        let _txn = self.begin_write_txn(WriteScope::Exclusive)?;
+        // The catalog write serializes all key users; the keyring rotates
+        // through interior mutability.
+        let _w = CatalogWrite::begin(self);
         keyring.rotate_cluster_key(hsm, &mut *self.rng.lock())
     }
 
@@ -1847,12 +1484,8 @@ impl Cluster {
             // superseded by a committed rewrite whose deferred deletion
             // never ran). Delete it everywhere — committed state never
             // references it again.
-            let mut referenced = std::collections::BTreeSet::new();
-            for t in catalog.tables() {
-                for s in &t.slices {
-                    referenced.extend(s.lock().block_ids().into_iter().map(|id| id.0));
-                }
-            }
+            let referenced: std::collections::BTreeSet<_> =
+                catalog.tables().flat_map(|t| t.block_ids()).map(|id| id.0).collect();
             let scrub_store = replicated.node_store(NodeId(0));
             let mut scrubbed = 0u64;
             for id in replicated.placed_block_ids() {
@@ -1888,10 +1521,8 @@ impl Cluster {
     /// resize targets, post-recovery log compaction). Failures are
     /// recorded, not surfaced — the existing log is still correct.
     fn checkpoint_now(&self) {
-        if let Ok(txn) = self.begin_write_txn(WriteScope::Exclusive) {
-            if self.log_checkpoint(txn.txn).is_err() {
-                self.trace.counter("wal.checkpoint_errors").incr();
-            }
+        if CatalogWrite::begin(self).commit(&[], Plans::Keep, Vec::new()).is_err() {
+            self.trace.counter("wal.checkpoint_errors").incr();
         }
     }
 }
@@ -2066,11 +1697,9 @@ impl<'a> SelectRun<'a> {
     fn compile(&self, plan: LogicalPlan) -> (Arc<CompiledQuery>, bool, u64) {
         let plan_cache = &self.cluster.plan_cache;
         let mut cspan = self.qspan.child(LVL_PHASE, "query.compile");
-        let (hits_before, _) = plan_cache.stats();
         let t0 = std::time::Instant::now();
-        let compiled = plan_cache.get_or_compile(plan);
+        let (compiled, cache_hit) = plan_cache.get_or_compile(plan);
         let compile_ns = t0.elapsed().as_nanos() as u64;
-        let cache_hit = plan_cache.stats().0 > hits_before;
         let counter = if cache_hit { "plan_cache.hits" } else { "plan_cache.misses" };
         self.cluster.trace.counter(counter).incr();
         cspan.attr("cache", if cache_hit { "hit" } else { "miss" });
@@ -2348,30 +1977,6 @@ impl baseline::RowSource for ReadSnapshot<'_> {
     }
 }
 
-/// Scope of a write transaction — which locks
-/// [`Cluster::begin_write_txn`] takes. See DESIGN.md §15.
-enum WriteScope<'a> {
-    /// Statement-scoped writer on one table (COPY / INSERT): shared
-    /// `data_lock` (held by the caller) + first-committer-wins
-    /// `try_lock` on the table's writer mutex.
-    Table(&'a TableEntry),
-    /// Catalog-shaped statement (DDL, VACUUM, ANALYZE, redistribute,
-    /// snapshot, key rotation): the global `write_txn` mutex + the
-    /// exclusive `data_lock`.
-    Exclusive,
-}
-
-/// The locks a write transaction holds, plus its id. Dropping the
-/// handle releases them; the handle itself carries no rollback duty —
-/// that stays with [`WriteTxn`] (slice state) and the WAL protocol
-/// (durability).
-struct TxnHandle<'a> {
-    txn: u64,
-    _global: Option<MutexGuard<'a, ()>>,
-    _excl: Option<RwLockWriteGuard<'a, ()>>,
-    _writer: Option<MutexGuard<'a, ()>>,
-}
-
 /// Hex-encode a 128-bit key for `COPY … ENCRYPTED`.
 fn key_to_hex(k: &redsim_crypto::Key) -> String {
     k.0.iter().map(|w| format!("{w:08x}")).collect()
@@ -2391,70 +1996,434 @@ fn parse_hex_key(hex: &str) -> Result<redsim_crypto::Key> {
     Ok(redsim_crypto::Key(words))
 }
 
-/// RAII slice-level write transaction (see [`Cluster::begin_write`]).
-///
-/// Install-or-rollback: the happy path calls [`WriteTxn::commit`]
-/// (install is the no-op — the appended state *is* the new state);
-/// every other exit path, including panics, runs the rollback in
-/// `Drop`. Because the guard is declared after the `write_txn` /
-/// `data_lock` guards in the statement functions, it drops *before*
-/// the locks release — no reader or writer can observe the
-/// mid-rollback state.
-struct WriteTxn<'a> {
-    /// One checkpoint per slice; `take()`n on commit and rollback.
-    checkpoints: Vec<Option<WriteCheckpoint>>,
-    /// The router's EVEN round-robin cursor advances per routed batch.
-    router: RowRouter,
-    rows_estimate: u64,
-    /// ANALYZE/STATUPDATE output as of the snapshot.
-    stats: Option<TableStats>,
-    /// This table's `loads_since_analyze` entry (`None` = absent).
-    loads_since_analyze: Option<u64>,
-    cluster: &'a Cluster,
-    entry: Arc<TableEntry>,
-    armed: bool,
+/// One COPY on its way through [`Cluster::run_copy`]'s stages. Field
+/// order is drop order: the `copy` span closes before an uncommitted
+/// write rolls back.
+struct CopyRun<'a> {
+    span: Span,
+    write: TableWrite<'a>,
+    stmt: &'a ast::Copy,
+    loaded: u64,
+    started: std::time::Instant,
 }
 
-impl WriteTxn<'_> {
-    /// Make the statement's writes permanent. Also restores each
-    /// slice's COMPUPDATE flag: it is a per-statement override, not a
-    /// table property, so it must not leak past the COPY that set it.
-    fn commit(mut self) {
-        self.armed = false;
-        for (slice, cp) in self.checkpoints.iter_mut().enumerate() {
-            if let Some(cp) = cp.take() {
-                self.entry.slices[slice].lock().set_auto_compress(cp.auto_compress());
-            }
+impl<'a> CopyRun<'a> {
+    /// Stage 1: open the table write, list the `s3://` source objects,
+    /// and apply the statement's COMPUPDATE — automatic compression
+    /// analysis on first load; an unspecified statement falls back to the
+    /// session's default (`SET compupdate`). It is a per-statement
+    /// override: the write restores the flag on commit and rollback.
+    fn begin(
+        cluster: &'a Cluster,
+        stmt: &'a ast::Copy,
+        ctx: &SessionCtx,
+    ) -> Result<(Self, Vec<String>)> {
+        let write = TableWrite::begin(cluster, &stmt.table)?;
+        let prefix = stmt
+            .source
+            .strip_prefix("s3://")
+            .ok_or_else(|| RsError::Unsupported("COPY sources must be s3:// URIs".into()))?;
+        let keys = cluster.s3.list(&cluster.config.region, prefix);
+        if keys.is_empty() {
+            return Err(RsError::NotFound(format!("no objects under s3://{prefix}")));
         }
+        let started = std::time::Instant::now();
+        let mut span = cluster.trace.span(LVL_PHASE, "copy");
+        if span.is_recording() {
+            span.attr("table", stmt.table.clone());
+            span.attr("objects", keys.len());
+        }
+        let comp_update = stmt.comp_update.unwrap_or(ctx.comp_update_default);
+        for s in &write.entry.slices {
+            s.lock().set_auto_compress(comp_update);
+        }
+        if comp_update {
+            // First flush samples the data and locks per-column encodings.
+            let attrs = [("table", AttrValue::Str(stmt.table.clone()))];
+            span.event_with(LVL_PHASE, "copy.encoding_sample", &attrs);
+        }
+        Ok((CopyRun { span, write, stmt, loaded: 0, started }, keys))
+    }
+
+    /// Stage 2: fetch, decode and parse every object in parallel (each
+    /// slice "reading data in parallel", §2.1). Fetches go through the
+    /// `copy.fetch_object` failpoint with the cluster retry policy:
+    /// transient S3 flakiness is absorbed with backoff, permanent faults
+    /// surface typed.
+    fn fetch(&self, keys: Vec<String>) -> Result<Vec<Result<Vec<ColumnData>>>> {
+        let (cluster, c, span) = (self.write.cluster, self.stmt, &self.span);
+        let entry = &self.write.entry;
+        // Client-side encrypted sources carry a hex key in the statement.
+        let source_key = c.decrypt_key.as_deref().map(parse_hex_key).transpose()?;
+        Ok(par::map(keys, |key| {
+            let mut ospan = span.child(LVL_DETAIL, "copy.object");
+            if ospan.is_recording() {
+                ospan.attr("object", key.clone());
+            }
+            let raw = cluster.config.retry.with_seed(cluster.config.seed).run_observed(
+                "copy.fetch_object",
+                || {
+                    redsim_replication::fire_no_skip(
+                        cluster.s3.faults(),
+                        Some(&cluster.trace),
+                        redsim_faultkit::fp::COPY_FETCH_OBJECT,
+                    )?;
+                    cluster.s3.get(&cluster.config.region, &key)
+                },
+                redsim_replication::retry_observer(Some(Arc::clone(&cluster.trace))),
+            )?;
+            // Undo source-side transforms: decrypt, then decompress
+            // ("COPY also directly supports ingestion of … data that is
+            // encrypted and/or compressed", §2.1).
+            let mut bytes: Vec<u8> = raw.to_vec();
+            if let Some(k) = &source_key {
+                let enc = redsim_crypto::EncryptedPayload::deserialize(&bytes)
+                    .map_err(|e| RsError::Analysis(format!("{key}: {e}")))?;
+                bytes = redsim_crypto::decrypt_payload(k, &enc)
+                    .map_err(|e| RsError::Analysis(format!("{key}: {e}")))?;
+            }
+            if c.compressed {
+                bytes = redsim_storage::lzss::decompress(&bytes)
+                    .map_err(|e| RsError::Analysis(format!("{key}: {e}")))?;
+            }
+            let text = std::str::from_utf8(&bytes)
+                .map_err(|_| RsError::Analysis(format!("{key}: not UTF-8")))?;
+            let parsed = match c.format {
+                ast::CopyFormat::Csv => loader::parse_csv(text, c.delimiter, &entry.schema),
+                ast::CopyFormat::Json => loader::parse_json_lines(text, &entry.schema),
+            };
+            if ospan.is_recording() {
+                if let Ok(cols) = &parsed {
+                    ospan.attr("rows", cols.first().map_or(0, |col| col.len()));
+                }
+            }
+            parsed
+        }))
+    }
+
+    /// Stage 3: route and append each parsed object, in listing order.
+    fn append(&mut self, parsed: Vec<Result<Vec<ColumnData>>>) -> Result<()> {
+        let mut aspan = self.span.child(LVL_PHASE, "copy.append");
+        for batch in parsed {
+            let batch = batch?;
+            self.loaded += batch.first().map_or(0, |col| col.len()) as u64;
+            self.write.cluster.append_distributed(&self.write.entry, batch, false)?;
+        }
+        aspan.attr("rows", self.loaded);
+        Ok(())
+    }
+
+    /// Stage 4: flush buffered tails on every slice, which seals row
+    /// groups into encoded blocks. Per-slice failures are aggregated
+    /// instead of dropping all but the first: the error names every
+    /// failed slice, and its variant (→ retry class) is inherited from
+    /// the first failure so THROTTLE exhaustion stays visibly transient.
+    fn seal(&self) -> Result<()> {
+        let (cluster, entry) = (self.write.cluster, &self.write.entry);
+        let seal_span = self.span.child(LVL_PHASE, "copy.seal");
+        let results: Vec<Result<()>> = par::map_indexed(entry.slices.len(), |slice| {
+            let mut sspan = seal_span.child(LVL_DETAIL, "copy.slice_seal");
+            if sspan.is_recording() {
+                sspan.attr("slice", slice);
+            }
+            entry.slices[slice].lock().flush(cluster.store_for_slice(slice).as_ref())
+        });
+        seal_span.finish();
+        let failures: Vec<(usize, RsError)> = results
+            .into_iter()
+            .enumerate()
+            .filter_map(|(slice, r)| r.err().map(|e| (slice, e)))
+            .collect();
+        if failures.is_empty() {
+            return Ok(());
+        }
+        cluster.trace.counter("copy.seal_errors").add(failures.len() as u64);
+        let detail = failures
+            .iter()
+            .map(|(slice, e)| format!("slice {slice}: {e}"))
+            .collect::<Vec<_>>()
+            .join("; ");
+        let (n, total) = (failures.len(), entry.slices.len());
+        let first = failures.into_iter().next().expect("non-empty").1;
+        Err(first.with_note(&format!(" (COPY seal failed on {n} of {total} slices: [{detail}])")))
+    }
+
+    /// Stage 5: account the load in the catalog counters and, under
+    /// STATUPDATE, refresh optimizer statistics (§2.1: "By default,
+    /// compression scheme and optimizer statistics are updated with
+    /// load").
+    fn account(&self) -> Result<()> {
+        let (cluster, entry) = (self.write.cluster, &self.write.entry);
+        *entry.rows_estimate.write() += self.loaded;
+        let mut loads = cluster.loads_since_analyze.lock();
+        *loads.entry(entry.name.to_ascii_lowercase()).or_insert(0) += self.loaded;
+        drop(loads);
+        if self.stmt.stat_update {
+            let aspan = self.span.child(LVL_PHASE, "copy.analyze");
+            cluster.analyze_entry(entry)?;
+            aspan.finish();
+        }
+        Ok(())
+    }
+
+    /// Stage 6: close the `copy` span and commit. A COPY that rolled back
+    /// never gets here, so it never bumps the catalog version (the
+    /// result cache stays valid) or `copy.rows_loaded`.
+    fn commit(self) -> Result<ExecSummary> {
+        let CopyRun { mut span, write, loaded, started, .. } = self;
+        if span.is_recording() {
+            span.attr("rows", loaded);
+        }
+        span.finish();
+        let trace = &write.cluster.trace;
+        write.commit()?;
+        trace.counter("copy.rows_loaded").add(loaded);
+        trace.histogram("copy.duration_ns").record(started.elapsed().as_nanos() as u64);
+        Ok(ExecSummary { rows_affected: loaded, message: format!("COPY {loaded}") })
     }
 }
 
-impl Drop for WriteTxn<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
+/// A COPY or INSERT transaction on one table (DESIGN.md §15).
+/// [`TableWrite::begin`] takes the shared `data_lock`, the catalog read
+/// and the table's first-committer-wins writer claim, then the rollback
+/// image of everything the statement can mutate (DESIGN.md §11): each
+/// slice's buffered tail, group manifests, encodings and COMPUPDATE flag,
+/// plus the [`TableImage`]. [`TableWrite::commit`] is the only way to
+/// make the write durable and visible. Dropping it uncommitted — any `?`
+/// in the statement, or a panic — rolls all of it back and deletes the
+/// statement's blocks from every replica before the locks release, so an
+/// aborted COPY/INSERT is observationally invisible.
+struct TableWrite<'a> {
+    cluster: &'a Cluster,
+    txn: u64,
+    entry: Arc<TableEntry>,
+    checkpoints: Vec<WriteCheckpoint>,
+    image: TableImage,
+    committed: bool,
+    catalog: RwLockReadGuard<'a, Catalog>,
+    _shared: RwLockReadGuard<'a, ()>,
+}
+
+impl<'a> TableWrite<'a> {
+    /// Writers on different tables proceed in parallel under the shared
+    /// `data_lock` while readers keep their MVCC snapshots; a second
+    /// writer on the same table fails fast with a retryable
+    /// [`RsError::Serializable`] instead of queueing, recorded in
+    /// `txn.conflicts` / `stl_tr_conflict`.
+    fn begin(cluster: &'a Cluster, table: &str) -> Result<Self> {
+        let shared = cluster.data_lock.read();
+        let catalog = cluster.catalog.read();
+        let entry = catalog.require(table)?;
+        let txn = cluster.txn_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        if entry.writer.swap(true, Ordering::Acquire) {
+            cluster.trace.counter("txn.conflicts").incr();
+            let attrs =
+                [("table", AttrValue::Str(entry.name.clone())), ("xact_id", AttrValue::U64(txn))];
+            cluster.trace.span_completed(LVL_CORE, "tr_conflict", 0, &attrs);
+            return Err(RsError::Serializable(format!(
+                "1023: serializable isolation violation on table {:?} — a \
+                 concurrent write transaction is in progress; retry the statement",
+                entry.name
+            )));
         }
+        Ok(TableWrite {
+            cluster,
+            txn,
+            checkpoints: entry.slices.iter().map(|s| s.lock().begin_write()).collect(),
+            image: TableImage::capture(cluster, &entry),
+            entry,
+            committed: false,
+            catalog,
+            _shared: shared,
+        })
+    }
+
+    /// Durability first — redo record, fsync, commit mark — then
+    /// visibility: restore each slice's COMPUPDATE flag, publish the new
+    /// committed version, bump the catalog version (the result cache's
+    /// invalidation). Called after the final flush, so every slice's
+    /// buffer is empty and `encode_meta` is a lossless image. A WAL
+    /// failure returns before anything is published and the drop rolls
+    /// the write back: an unlogged write is never visible.
+    fn commit(mut self) -> Result<()> {
+        let (cluster, entry) = (self.cluster, &self.entry);
+        let mut w = Writer::new();
+        w.put_str(&entry.name);
+        w.put_u64(*entry.rows_estimate.read());
+        cluster.encode_table_extras(entry, &mut w);
+        w.put_u32(entry.slices.len() as u32);
+        for s in &entry.slices {
+            s.lock().encode_meta(&mut w);
+        }
+        cluster.wal.append_delta(self.txn, &w.into_bytes())?;
+        cluster.wal.sync()?;
+        cluster.wal.commit(self.txn)?;
+        cluster.trace.counter("wal.commits").incr();
+        self.committed = true;
+        for (slice, cp) in self.checkpoints.iter().enumerate() {
+            entry.slices[slice].lock().set_auto_compress(cp.auto_compress());
+        }
+        entry.publish(self.txn);
+        cluster.bump_catalog_version();
+        Ok(())
+    }
+}
+
+impl Drop for TableWrite<'_> {
+    fn drop(&mut self) {
         // A hard crash means the process died before it could roll back:
         // leave the half-written state (and its orphan blocks) in place
         // for recovery to resolve. Without this gate the harness's
         // unwind would tidy up the very mess recovery must handle.
-        if self.cluster.hard_crash.load(Ordering::Acquire) {
-            return;
-        }
-        let mut blocks = 0usize;
-        for (slice, cp) in self.checkpoints.iter_mut().enumerate() {
-            if let Some(cp) = cp.take() {
+        if !self.committed && !self.cluster.hard_crash.load(Ordering::Acquire) {
+            let mut blocks = 0usize;
+            for (slice, cp) in std::mem::take(&mut self.checkpoints).into_iter().enumerate() {
                 let store = self.cluster.store_for_slice(slice);
                 blocks += self.entry.slices[slice].lock().rollback_write(cp, store.as_ref());
             }
+            self.image.restore(self.cluster, &self.entry);
+            self.cluster.trace.counter("write_txn.rollbacks").add(1);
+            self.cluster.trace.counter("write_txn.blocks_dropped").add(blocks as u64);
         }
-        *self.entry.router.lock() = self.router.clone();
-        *self.entry.rows_estimate.write() = self.rows_estimate;
-        *self.entry.stats.write() = self.stats.take();
-        let loads = self.loads_since_analyze.take();
-        set_loads(&mut self.cluster.loads_since_analyze.lock(), &self.entry.name, loads);
-        self.cluster.trace.counter("write_txn.rollbacks").add(1);
-        self.cluster.trace.counter("write_txn.blocks_dropped").add(blocks as u64);
+        self.entry.writer.store(false, Ordering::Release);
+    }
+}
+
+/// The catalog state of one table that a write can move besides its
+/// slices — router cursor, `rows_estimate`, optimizer stats,
+/// loads-since-ANALYZE — captured before the write, restored if it ends
+/// uncommitted.
+struct TableImage {
+    /// The router's EVEN round-robin cursor advances per routed batch.
+    router: RowRouter,
+    rows_estimate: u64,
+    stats: Option<TableStats>,
+    /// `None` = no loads-since-ANALYZE entry.
+    loads: Option<u64>,
+}
+
+impl TableImage {
+    fn capture(cluster: &Cluster, entry: &TableEntry) -> TableImage {
+        let key = entry.name.to_ascii_lowercase();
+        let loads = cluster.loads_since_analyze.lock().get(&key).copied();
+        TableImage {
+            router: entry.router.lock().clone(),
+            rows_estimate: *entry.rows_estimate.read(),
+            stats: entry.stats.read().clone(),
+            loads,
+        }
+    }
+
+    fn restore(&mut self, cluster: &Cluster, entry: &TableEntry) {
+        *entry.router.lock() = self.router.clone();
+        *entry.rows_estimate.write() = self.rows_estimate;
+        *entry.stats.write() = self.stats.take();
+        set_loads(&mut cluster.loads_since_analyze.lock(), &entry.name, self.loads);
+    }
+}
+
+/// Whether a catalog write's commit drops every compiled plan.
+enum Plans {
+    Keep,
+    /// The statement changed a table's schema or layout: a plan compiled
+    /// against the old catalog must never run against the new one, even
+    /// when a re-created table yields a Debug-identical plan signature.
+    Invalidate,
+}
+
+/// A catalog-shaped transaction (DESIGN.md §15): DDL, VACUUM, ANALYZE,
+/// redistribution, snapshot, key rotation and bootstrap checkpoints.
+/// [`CatalogWrite::begin`] takes the global `write_txn` mutex and the
+/// exclusive `data_lock`, which waits out readers and in-flight table
+/// writers, so live state equals committed state and a full-catalog
+/// checkpoint taken under it is consistent. The statement mutates live
+/// state and registers how to take that back with
+/// [`CatalogWrite::on_undo`]; the undo runs if the write ends
+/// uncommitted — a failed checkpoint included — before the locks
+/// release, so a failed statement is invisible.
+struct CatalogWrite<'a> {
+    cluster: &'a Cluster,
+    txn: u64,
+    undo: Option<Box<dyn FnOnce() + 'a>>,
+    _global: MutexGuard<'a, ()>,
+    _excl: RwLockWriteGuard<'a, ()>,
+}
+
+impl<'a> CatalogWrite<'a> {
+    fn begin(cluster: &'a Cluster) -> Self {
+        let txn = cluster.txn_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        CatalogWrite {
+            cluster,
+            txn,
+            undo: None,
+            _global: cluster.write_txn.lock(),
+            _excl: cluster.data_lock.write(),
+        }
+    }
+
+    fn on_undo(&mut self, undo: impl FnOnce() + 'a) {
+        self.undo = Some(Box::new(undo));
+    }
+
+    /// Durability first: a full-catalog checkpoint ([`Catalog::encode`]
+    /// plus the per-table extras it omits) and its commit mark; on
+    /// failure the error returns and the undo runs. Visibility second:
+    /// publish the `publish` tables' new committed versions, drop the
+    /// compiled plans if asked, bump the catalog version. Only then are
+    /// the `superseded` blocks deleted (deferred deletion): a crash on
+    /// either side of the commit mark leaves one complete block set
+    /// behind the recovered manifests, and recovery scrubs the other as
+    /// orphans.
+    fn commit(
+        mut self,
+        publish: &[Arc<TableEntry>],
+        plans: Plans,
+        superseded: Vec<BlockId>,
+    ) -> Result<()> {
+        let c = self.cluster;
+        let mut w = Writer::new();
+        {
+            let catalog = c.catalog.read();
+            catalog.encode(&mut w);
+            w.put_u32(catalog.tables().count() as u32);
+            for t in catalog.tables() {
+                w.put_str(&t.name);
+                c.encode_table_extras(t, &mut w);
+            }
+        }
+        c.wal.append_checkpoint(self.txn, &w.into_bytes())?;
+        c.wal.commit(self.txn)?;
+        c.trace.counter("wal.commits").incr();
+        self.undo = None;
+        // Truncation is pure space reclamation: the checkpoint above is
+        // already durable, so a failure here (injected) must not fail the
+        // statement — the log is just longer than it needs to be.
+        match c.wal.truncate() {
+            Ok(0) => {}
+            Ok(reclaimed) => c.trace.counter("wal.bytes_reclaimed").add(reclaimed as u64),
+            Err(_) => c.trace.counter("wal.truncate_errors").incr(),
+        }
+        for entry in publish {
+            entry.publish(self.txn);
+        }
+        if matches!(plans, Plans::Invalidate) {
+            c.plan_cache.invalidate_all();
+        }
+        c.bump_catalog_version();
+        if let Some(store) = c.node_stores.first() {
+            for id in superseded {
+                store.delete(id);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Drop for CatalogWrite<'_> {
+    fn drop(&mut self) {
+        if let Some(undo) = self.undo.take() {
+            undo();
+        }
     }
 }
 
@@ -3339,9 +3308,7 @@ mod session_tests {
         c.put_s3_object("w/a", b"1\n2\n".to_vec());
         c.put_s3_object("w/b", b"3\n4\n".to_vec());
 
-        let entry = c.catalog.read().get("a").unwrap();
-        let _shared = c.data_lock.read();
-        let held = c.begin_write_txn(WriteScope::Table(&entry)).unwrap();
+        let held = TableWrite::begin(&c, "a").unwrap();
 
         // Independent table: commits while `a`'s writer mutex is held.
         let s = c.execute("COPY b FROM 's3://w/b'").unwrap();
@@ -3353,7 +3320,6 @@ mod session_tests {
         assert!(err.is_retryable(), "serializable conflicts are retryable");
         assert_eq!(c.trace().counter_value("txn.conflicts"), 1);
         drop(held);
-        drop(_shared);
 
         // Once the holder releases, the same statement goes through.
         assert_eq!(c.execute("COPY a FROM 's3://w/a'").unwrap().rows_affected, 2);
@@ -3424,7 +3390,7 @@ mod session_tests {
 
         // The next COPY dies after its blocks hit the mirror but before
         // the WAL commit record: a hard crash mid-commit. The armed
-        // crash flag keeps WriteTxn::drop from rolling the blocks back —
+        // crash flag keeps TableWrite::drop from rolling the blocks back —
         // exactly the state a real power cut leaves behind.
         c.arm_hard_crash();
         c.faults().configure(fp::WAL_COMMIT, FaultSpec::err(ErrClass::Fault).once());
@@ -3461,5 +3427,59 @@ mod session_tests {
         assert_eq!(again.trace().counter_value("recovery.replayed_deltas"), 0);
         let q2 = again.query("SELECT SUM(k) FROM t").unwrap();
         assert_eq!(q2.rows[0].get(0).as_i64(), Some(6));
+    }
+
+    /// A crashed handle shares its keyring with the cluster recovered
+    /// from its crash image, so it must refuse to rotate that key.
+    #[test]
+    fn crashed_handle_refuses_key_rotation() {
+        let cfg = ClusterConfig::new("rot").nodes(2).slices_per_node(1).encrypted(true);
+        let c = Cluster::launch(cfg).unwrap();
+        c.execute("CREATE TABLE s (x BIGINT)").unwrap();
+        c.execute("INSERT INTO s VALUES (7)").unwrap();
+        let r = Cluster::recover(c.crash().unwrap()).unwrap();
+        let wrapped =
+            |c: &Cluster| c.keys.as_ref().unwrap().keyring.wrapped_cluster_key().to_bytes();
+        let before = wrapped(&r);
+        let err = c.rotate_cluster_key().unwrap_err();
+        assert!(matches!(err, RsError::InvalidState(_)), "{err}");
+        assert_eq!(wrapped(&r), before, "the recovered cluster's key must not move");
+        r.rotate_cluster_key().unwrap();
+        assert_ne!(wrapped(&r), before);
+        assert_eq!(r.query("SELECT SUM(x) FROM s").unwrap().rows[0].get(0).as_i64(), Some(7));
+    }
+
+    /// ANALYZE's undo puts the old optimizer stats back when its
+    /// checkpoint fails: stats that never became durable are not live.
+    #[test]
+    fn failed_analyze_restores_stats() {
+        let c = small();
+        c.execute("CREATE TABLE t (k BIGINT)").unwrap();
+        c.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        let entry = c.catalog.read().get("t").unwrap();
+        assert!(entry.stats.read().is_none(), "INSERT does not analyze");
+        c.faults().configure(fp::WAL_APPEND, FaultSpec::err(ErrClass::Fault).once());
+        c.execute("ANALYZE t").unwrap_err();
+        assert!(entry.stats.read().is_none(), "a failed ANALYZE left its stats live");
+        c.execute("ANALYZE t").unwrap();
+        assert_eq!(entry.stats.read().as_ref().map(|s| s.rows), Some(2));
+    }
+
+    /// Hit/miss attribution comes from each lookup's own outcome, so a
+    /// concurrent session's hit never turns this query's miss into a hit.
+    #[test]
+    fn plan_cache_counters_match_cache_stats_under_concurrency() {
+        let c = small();
+        c.execute("CREATE TABLE t (a BIGINT)").unwrap();
+        c.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+        par::map(vec![0u64, 1], |w| {
+            for i in 0..300u64 {
+                c.query(&format!("SELECT COUNT(*) FROM t WHERE a > {}", (i * 7 + w) % 40)).unwrap();
+            }
+        });
+        let (hits, misses) = c.plan_cache_stats();
+        assert!(hits > 0 && misses > 0, "{hits}/{misses}");
+        assert_eq!(c.trace().counter_value("plan_cache.hits"), hits);
+        assert_eq!(c.trace().counter_value("plan_cache.misses"), misses);
     }
 }

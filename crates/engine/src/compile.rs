@@ -130,8 +130,10 @@ impl PlanCache {
         self.capacity
     }
 
-    /// Fetch a compiled form, compiling (and caching) on miss.
-    pub fn get_or_compile(&self, plan: LogicalPlan) -> Arc<CompiledQuery> {
+    /// Fetch a compiled form, compiling (and caching) on miss; the flag
+    /// says whether this call hit. Callers attribute hits from it, never
+    /// by diffing [`PlanCache::stats`], which concurrent sessions move.
+    pub fn get_or_compile(&self, plan: LogicalPlan) -> (Arc<CompiledQuery>, bool) {
         let signature = plan_signature(&plan);
         {
             let mut inner = self.inner.lock();
@@ -143,7 +145,7 @@ impl PlanCache {
                     inner.order.retain(|s| *s != signature);
                     inner.order.push_back(signature);
                 }
-                return c;
+                return (c, true);
             }
             inner.misses += 1;
         }
@@ -158,7 +160,7 @@ impl PlanCache {
                 inner.entries.retain(|(s, _)| *s != evict);
             }
         }
-        compiled
+        (compiled, false)
     }
 
     /// Drop every cached plan. Called by the leader after a
@@ -206,9 +208,10 @@ mod tests {
     #[test]
     fn cache_hits_skip_compilation() {
         let cache = PlanCache::with_work(4, 10_000);
-        let a1 = cache.get_or_compile(scan("t"));
-        let a2 = cache.get_or_compile(scan("t"));
+        let (a1, hit1) = cache.get_or_compile(scan("t"));
+        let (a2, hit2) = cache.get_or_compile(scan("t"));
         assert_eq!(a1.checksum, a2.checksum);
+        assert!(!hit1 && hit2);
         assert_eq!(cache.stats(), (1, 1));
     }
 

@@ -23,6 +23,11 @@ use redsim_simkit::{SimTime, VirtualClock};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// How long a replayed COPY keeps retrying retryable errors, and the
+/// longest pause between attempts (pauses double from 1 ms).
+const COPY_RETRY_BUDGET: Duration = Duration::from_secs(5);
+const COPY_RETRY_MAX_PAUSE: Duration = Duration::from_millis(20);
+
 /// How to drive the schedule against the cluster.
 #[derive(Debug, Clone, Copy)]
 pub enum ReplayMode {
@@ -42,6 +47,8 @@ pub struct ClassStats {
     pub queries: u64,
     pub copies: u64,
     pub errors: u64,
+    /// The first failed statement's error text (what `errors` counted).
+    pub first_error: Option<String>,
     /// Queries answered from the leader result cache.
     pub cache_hits: u64,
     pub latency: Histogram,
@@ -56,6 +63,7 @@ impl ClassStats {
             queries: 0,
             copies: 0,
             errors: 0,
+            first_error: None,
             cache_hits: 0,
             latency: Histogram::new(),
             min_ns: u64::MAX,
@@ -78,18 +86,20 @@ impl ClassStats {
         self.queries += other.queries;
         self.copies += other.copies;
         self.errors += other.errors;
+        self.first_error = self.first_error.take().or_else(|| other.first_error.clone());
         self.cache_hits += other.cache_hits;
         self.latency.merge(&other.latency);
         self.min_ns = self.min_ns.min(other.min_ns);
     }
 
-    fn record(&mut self, op: &ScheduledOp, ns: u64, cache_hit: bool, err: bool) {
+    fn record(&mut self, op: &ScheduledOp, ns: u64, cache_hit: bool, err: Option<String>) {
         match op.kind {
             OpKind::Query { .. } => self.queries += 1,
             OpKind::Copy { .. } => self.copies += 1,
         }
-        if err {
+        if let Some(e) = err {
             self.errors += 1;
+            self.first_error.get_or_insert(e);
         }
         if cache_hit {
             self.cache_hits += 1;
@@ -140,6 +150,9 @@ impl ReplayReport {
                 s.cache_hit_rate() * 100.0,
                 s.errors,
             ));
+            if let Some(e) = &s.first_error {
+                out.push_str(&format!("{:<10} first error: {e}\n", ""));
+            }
         }
         out.push_str(&format!(
             "wall {:?}  virtual {:.1}min  wlm admitted {} (sqa {} queued {})  result-cache {}/{}\n",
@@ -309,9 +322,9 @@ fn run_op(
             Ok(s) => {
                 sessions.insert(key, s);
             }
-            Err(_) => {
+            Err(e) => {
                 let slot = stats.iter_mut().find(|s| s.class == op.class).unwrap();
-                slot.record(op, 0, false, true);
+                slot.record(op, 0, false, Some(e.to_string()));
                 return;
             }
         }
@@ -320,30 +333,28 @@ fn run_op(
     let t0 = Instant::now();
     let (cache_hit, err) = match &op.kind {
         OpKind::Query { sql } => match session.query(sql) {
-            Ok(r) => (r.result_cache_hit, false),
-            Err(_) => (false, true),
+            Ok(r) => (r.result_cache_hit, None),
+            Err(e) => (false, Some(e.to_string())),
         },
         OpKind::Copy { key, .. } => {
             let copy = format!("COPY events FROM 's3://{key}'");
             // Concurrent writers into one table resolve first-committer-
             // wins: the loser sees a retryable serializable-isolation
-            // error. Retry like a real ETL client — every conflict means
-            // some other writer committed, so progress is guaranteed.
-            let mut err = true;
-            for _ in 0..64 {
+            // error at once, while the winner takes milliseconds to
+            // commit. Back off like a real ETL client, for a fixed time
+            // budget rather than a fixed attempt count.
+            let deadline = Instant::now() + COPY_RETRY_BUDGET;
+            let mut pause = Duration::from_millis(1);
+            let result = loop {
                 match session.execute(&copy) {
-                    Ok(_) => {
-                        err = false;
-                        break;
+                    Err(e) if e.is_retryable() && Instant::now() < deadline => {
+                        std::thread::sleep(pause);
+                        pause = (pause * 2).min(COPY_RETRY_MAX_PAUSE);
                     }
-                    Err(e) if e.is_retryable() => {
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    Err(_) => break,
+                    r => break r,
                 }
-            }
-            (false, err)
+            };
+            (false, result.err().map(|e| e.to_string()))
         }
     };
     let ns = t0.elapsed().as_nanos() as u64;

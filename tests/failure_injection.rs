@@ -730,3 +730,132 @@ fn failed_insert_rolls_back_router_and_estimates() {
     assert_eq!(n, 2);
     assert_eq!(c.rows_estimate("t"), Some(2));
 }
+
+// ---------------------------------------------------------------------
+// Catalog writes under a failing checkpoint: DDL, redistribution and
+// ANALYZE make themselves durable with a full-catalog checkpoint, and a
+// checkpoint the redo log rejects must leave the statement invisible.
+// ---------------------------------------------------------------------
+
+/// A fact table joined to an EVEN dimension, plus a spare table.
+fn star(name: &str) -> Arc<Cluster> {
+    let c = Cluster::launch(ClusterConfig::new(name).nodes(2).slices_per_node(1)).unwrap();
+    c.execute("CREATE TABLE fact (id BIGINT, d BIGINT) DISTKEY(id)").unwrap();
+    c.execute("CREATE TABLE dim (id BIGINT, label VARCHAR(16))").unwrap();
+    c.execute("CREATE TABLE spare (k BIGINT)").unwrap();
+    let fact: String = (0..200).map(|i| format!("{i},{}\n", i % 20)).collect();
+    let dim: String = (0..20).map(|i| format!("{i},l{i}\n")).collect();
+    c.put_s3_object("star/fact", fact.into_bytes());
+    c.put_s3_object("star/dim", dim.into_bytes());
+    c.put_s3_object("star/spare", b"1\n2\n".to_vec());
+    for t in ["fact", "dim", "spare"] {
+        c.execute(&format!("COPY {t} FROM 's3://star/{t}'")).unwrap();
+    }
+    c
+}
+
+/// What a failed catalog write must leave as it was: which tables exist
+/// (with their estimates), the catalog version, the join's answer and
+/// its data movement, and the node-local bytes.
+#[derive(Debug, PartialEq)]
+struct CatalogImage {
+    tables: Vec<Option<u64>>,
+    version: u64,
+    answer: String,
+    exchange_bytes: u64,
+    local_bytes: u64,
+}
+
+fn catalog_image(c: &Cluster) -> CatalogImage {
+    let q = c.query("SELECT COUNT(*), SUM(d.id) FROM fact f JOIN dim d ON f.d = d.id").unwrap();
+    CatalogImage {
+        tables: ["fact", "dim", "spare", "extra"].iter().map(|t| c.rows_estimate(t)).collect(),
+        version: c.catalog_version(),
+        answer: format!("{:?}", q.rows),
+        exchange_bytes: q.metrics.exchange_bytes(),
+        local_bytes: c.replicated_store().unwrap().local_bytes(),
+    }
+}
+
+/// Fail `write`'s checkpoint at `seam` once, check nothing moved, then
+/// retry it. Returns the image from before the failure.
+fn fail_checkpoint_then_retry(
+    c: &Cluster,
+    seam: &str,
+    write: impl Fn(&Cluster) -> redshift_sim::common::Result<()>,
+) -> CatalogImage {
+    let pre = catalog_image(c);
+    c.faults().configure(seam, FaultSpec::err(ErrClass::Fault).once());
+    let err = write(c).unwrap_err();
+    assert!(err.to_string().contains(seam), "{seam}: {err}");
+    assert_eq!(catalog_image(c), pre, "{seam}: the failed statement leaked");
+    write(c).unwrap_or_else(|e| panic!("{seam}: retry failed: {e}"));
+    assert!(c.catalog_version() > pre.version, "{seam}: the retry committed");
+    pre
+}
+
+#[test]
+fn wal_failed_create_table_is_invisible() {
+    for seam in [fp::WAL_APPEND, fp::WAL_COMMIT] {
+        let c = star(&format!("walcreate-{}", seam.replace('.', "-")));
+        fail_checkpoint_then_retry(&c, seam, |c| {
+            c.execute("CREATE TABLE extra (k BIGINT)").map(|_| ())
+        });
+        assert_eq!(c.rows_estimate("extra"), Some(0), "{seam}");
+        let r = Cluster::recover(c.crash().unwrap()).unwrap();
+        assert_eq!(r.rows_estimate("extra"), Some(0), "{seam}: recovery");
+    }
+}
+
+#[test]
+fn wal_failed_drop_table_is_invisible() {
+    for seam in [fp::WAL_APPEND, fp::WAL_COMMIT] {
+        let c = star(&format!("waldrop-{}", seam.replace('.', "-")));
+        let pre =
+            fail_checkpoint_then_retry(&c, seam, |c| c.execute("DROP TABLE spare").map(|_| ()));
+        assert_eq!(c.rows_estimate("spare"), None, "{seam}");
+        let freed = c.replicated_store().unwrap().local_bytes();
+        assert!(freed < pre.local_bytes, "{seam}: the committed drop frees its blocks");
+        let r = Cluster::recover(c.crash().unwrap()).unwrap();
+        assert_eq!(r.rows_estimate("spare"), None, "{seam}: recovery");
+    }
+}
+
+#[test]
+fn wal_failed_redistribute_all_is_invisible() {
+    for seam in [fp::WAL_APPEND, fp::WAL_COMMIT] {
+        let c = star(&format!("walredist-{}", seam.replace('.', "-")));
+        let pre = fail_checkpoint_then_retry(&c, seam, |c| c.redistribute_all("dim"));
+        assert!(pre.exchange_bytes > 0, "{seam}: EVEN dim moves bytes in the join");
+        let post = catalog_image(&c);
+        assert_eq!(post.answer, pre.answer, "{seam}: same answer under ALL");
+        assert_eq!(post.exchange_bytes, 0, "{seam}: the join is now DS_DIST_ALL_NONE");
+        let r = Cluster::recover(c.crash().unwrap()).unwrap();
+        assert_eq!(catalog_image(&r).answer, pre.answer, "{seam}: recovery");
+    }
+}
+
+#[test]
+fn wal_failed_analyze_keeps_stats_and_loads() {
+    // ANALYZE replaces the optimizer stats and resets the table's
+    // loads-since-ANALYZE; a checkpoint failure must take both back, or
+    // the maintenance advisor would believe a table was analyzed that
+    // never durably was.
+    let c = Cluster::launch(ClusterConfig::new("walanalyze").nodes(2).slices_per_node(1)).unwrap();
+    c.execute("CREATE TABLE t (a BIGINT, s VARCHAR(64))").unwrap();
+    c.put_s3_object("a/1", b"1,x\n2,y\n3,z\n".to_vec());
+    c.execute("COPY t FROM 's3://a/' STATUPDATE OFF").unwrap();
+    assert_eq!(c.loads_since_analyze("t"), 3);
+    let version = c.catalog_version();
+    c.faults().configure(fp::WAL_COMMIT, FaultSpec::err(ErrClass::Fault).once());
+    let err = c.execute("ANALYZE t").unwrap_err();
+    assert!(err.to_string().contains(fp::WAL_COMMIT), "{err}");
+    assert_eq!(c.loads_since_analyze("t"), 3, "a failed ANALYZE must not reset the loads");
+    assert_eq!(c.rows_estimate("t"), Some(3));
+    assert_eq!(c.catalog_version(), version, "a failed ANALYZE must not bump the version");
+    c.execute("ANALYZE t").unwrap();
+    assert_eq!(c.loads_since_analyze("t"), 0);
+    let r = Cluster::recover(c.crash().unwrap()).unwrap();
+    assert_eq!(r.loads_since_analyze("t"), 0, "recovery sees the committed ANALYZE");
+    assert_eq!(r.rows_estimate("t"), Some(3));
+}
